@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -34,7 +35,7 @@ from .estimator import (
     verify_statement_b,
 )
 from .linalg import bloch_of, haar_random_pure, min_eigenvalue, partial_trace, rng_from_seed
-from .symspace import pseudo_mixture_decompose, random_symmetric_density, symmetrizer
+from .symspace import dicke_basis, pseudo_mixture_decompose, random_symmetric_density
 
 DEFAULT_TOL = 1e-9
 
@@ -269,9 +270,9 @@ def _sanity_checks(n, m, seed):
         _check("sanity-trace", 1.0, float(out.trace().real), 1e-12, n=n, m=m),
         _flag("sanity-min-eigenvalue", min_eigenvalue(out) >= -1e-10, n=n, m=m),
     ]
-    comp = np.eye(2 ** m) - symmetrizer(m)
+    v = dicke_basis(m)
     checks.append(_check("sanity-symmetric-residual", 0.0,
-                         float(np.max(np.abs(comp @ out))), 1e-11, n=n, m=m))
+                         float(np.max(np.abs(out - v @ (v.conj().T @ out)))), 1e-11, n=n, m=m))
     reductions = [partial_trace(out, {q}, m) for q in range(m)] if m > 1 else [out]
     dev = max(float(np.max(np.abs(r - reductions[0]))) for r in reductions)
     checks.append(_check("sanity-reductions-identical", 0.0, dev, 1e-11, n=n, m=m))
@@ -332,6 +333,27 @@ def _dispatch_emit(report, fmt, stream):
 
 # ----------------------------------------------------------------- entrypoint
 
+def _seed(text):
+    value = int(text)
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"seed must be in 0..2^64-1, got {text}")
+    return value
+
+
+def _samples(text):
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"samples must be at least 2, got {text}")
+    return value
+
+
+def _tolerance(text):
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and > 0, got {text}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qclone",
@@ -339,10 +361,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, default_format):
-        p.add_argument("--seed", type=int, default=1, help="64-bit RNG seed")
-        p.add_argument("--samples", type=int, default=50, help="random inputs per cell")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="tolerance for physics checks")
+        p.add_argument("--seed", type=_seed, default=1, help="64-bit RNG seed, 0..2^64-1")
+        p.add_argument("--samples", type=_samples, default=50,
+                       help="random inputs per cell, at least 2")
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                       help="tolerance for physics checks, finite and > 0")
         p.add_argument("--format", choices=["json", "csv", "table"],
                        default=default_format, dest="output_format")
         p.add_argument("--output", type=str, default=None, help="write report to file")

@@ -25,7 +25,6 @@ import numpy as np
 
 from .linalg import (
     PSD_TOL,
-    bloch_of,
     haar_random_pure_batch,
     hermitize,
     pure_fidelity,
@@ -236,7 +235,3 @@ def verify_statement_b(m, l, psi=None):
         direct_fidelity=(m + 1) / (m + 2),
     )
 
-
-def reconstruction_bloch(report):
-    """Bloch vector of the reconstruction operator in a report."""
-    return bloch_of(report.rho_bar)

@@ -32,14 +32,9 @@ class DegenerateInputError(ValueError):
 
 
 def rng_from_seed(seed):
-    """Deterministic generator from a 64-bit seed (Philox, counter-based)."""
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-
-
-def spawn_rngs(seed, n):
-    """n independent generators derived from one seed; disjoint streams."""
-    return [np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, i]))
-            for i in range(n)]
+    """Deterministic generator from a seed reduced modulo 2^64 (Philox,
+    counter-based); derived seeds such as seed + offset never overflow."""
+    return np.random.Generator(np.random.Philox(key=np.uint64(int(seed) % 2 ** 64)))
 
 
 def n_qubits_of(mat):
@@ -107,27 +102,8 @@ def hermitize(rho, tol=PSD_TOL):
     return (rho + rho.conj().T) / 2
 
 
-def is_hermitian(mat, tol=STRUCT_TOL):
-    return bool(np.max(np.abs(mat - mat.conj().T)) < tol)
-
-
 def min_eigenvalue(rho):
     return float(np.linalg.eigvalsh(hermitize(np.asarray(rho, dtype=complex), tol=np.inf)).min())
-
-
-def check_density(rho, name="rho"):
-    """Raise unless rho is Hermitian, unit-trace and PSD within tolerances."""
-    rho = np.asarray(rho, dtype=complex)
-    n_qubits_of(rho)
-    if not is_hermitian(rho):
-        raise ValueError(f"{name} is not Hermitian within {STRUCT_TOL:.0e}")
-    tr = rho.trace()
-    if abs(tr - 1) > STRUCT_TOL:
-        raise ValueError(f"{name} has trace {tr}, expected 1")
-    lo = min_eigenvalue(rho)
-    if lo < -PSD_TOL:
-        raise ValueError(f"{name} has eigenvalue {lo:.3e} below -{PSD_TOL:.0e}")
-    return rho
 
 
 def bloch_of(rho):
@@ -149,18 +125,6 @@ def state_from_bloch(s):
     if np.linalg.norm(s) > 1 + STRUCT_TOL:
         raise ValueError(f"Bloch vector length {np.linalg.norm(s)} exceeds 1")
     return (ID2 + s[0] * PAULI_X + s[1] * PAULI_Y + s[2] * PAULI_Z) / 2
-
-
-def pure_state_from_bloch(s):
-    """Unit-Bloch-vector direction as a pure state (θ,φ parametrization)."""
-    s = np.asarray(s, dtype=float)
-    nrm = np.linalg.norm(s)
-    if nrm < 1e-15:
-        raise ValueError("zero direction has no associated pure state")
-    x, y, z = s / nrm
-    theta = np.arccos(np.clip(z, -1.0, 1.0))
-    phi = np.arctan2(y, x)
-    return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
 
 
 def haar_random_pure(rng):

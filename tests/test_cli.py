@@ -105,6 +105,32 @@ class TestVerifyAll:
             assert set(c) >= {"name", "expected", "actual", "tolerance", "pass"}
 
 
+CLONE = ["clone", "--n", "1", "--m", "2", "--samples", "2"]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (CLONE + ["--seed", "-1"], 2),
+    (CLONE + ["--seed", str(2 ** 64)], 2),
+    (CLONE + ["--seed", "one"], 2),
+    (CLONE + ["--tol", "nan"], 2),
+    (CLONE + ["--tol", "inf"], 2),
+    (CLONE + ["--tol", "-1"], 2),
+    (CLONE + ["--tol", "0"], 2),
+    (["clone", "--n", "1", "--m", "2", "--samples", "1"], 2),
+    (["verify-all", "--samples", "0"], 2),
+    (CLONE + ["--seed", "0"], 0),
+    (CLONE + ["--seed", str(2 ** 64 - 1)], 0),
+])
+def test_argument_contract(capsys, argv, code):
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    if code == 2:
+        assert "error:" in capsys.readouterr().err
+
+
 def test_unwritable_output_exit_3(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--n", "1", "--m", "2", "--output", "/nonexistent/dir/x.json"])

@@ -33,6 +33,12 @@ KET0 = np.array([1, 0], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
 
+def dense_cloner(n, m, rho_n):
+    """Reference channel (N+1)/(M+1) S_M (rho ⊗ 1) S_M with the dense symmetrizer."""
+    s = symmetrizer(m)
+    return (n + 1) / (m + 1) * (s @ np.kron(rho_n, np.eye(2 ** (m - n))) @ s)
+
+
 class TestChannelDescriptor:
     def test_rejects_shrinking_direction(self):
         with pytest.raises(ValueError):
@@ -60,6 +66,14 @@ class TestApplyCloner:
         # brute-force 8x8 oracle: reduced Bloch x = (1/3)(5/3) = 5/9
         out = apply_cloner(CloneChannel(1, 3), np.outer(PLUS, PLUS.conj()))
         assert abs(bloch_of(partial_trace(out, {1}, 3))[0] - 5 / 9) < 1e-12
+
+    @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(n, 9)])
+    def test_matches_dense_symmetrizer_oracle(self, n, m):
+        rng = rng_from_seed(700 + 10 * n + m)
+        for rho_n in (tensor_power_input(haar_random_pure(rng), n),
+                      random_symmetric_density(n, rng)):
+            out = apply_cloner(CloneChannel(n, m), rho_n)
+            assert np.max(np.abs(out - dense_cloner(n, m, rho_n))) < 1e-12
 
     def test_rejects_non_symmetric_input(self):
         singlet = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)

@@ -127,6 +127,11 @@ class TestHaarSampling:
         b = haar_random_pure(rng_from_seed(42))
         assert np.array_equal(a, b)
 
+    def test_seed_reduced_modulo_2_64(self):
+        # derived seeds such as seed + 997 + 31n + m may pass 2^64 - 1
+        assert np.array_equal(haar_random_pure(rng_from_seed(2 ** 64 + 5)),
+                              haar_random_pure(rng_from_seed(5)))
+
     def test_normalized(self):
         psis = haar_random_pure_batch(rng_from_seed(1), 1000)
         assert np.allclose(np.linalg.norm(psis, axis=1), 1, atol=1e-12)

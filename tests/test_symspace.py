@@ -90,6 +90,24 @@ class TestSymmetricSupport:
     def test_normalized_projector(self):
         assert is_symmetric_support(symmetrizer(2) / 3)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_dense_complement_oracle(self, n):
+        rng = rng_from_seed(500 + n)
+        comp = np.eye(2 ** n) - symmetrizer(n)
+
+        def oracle(rho):
+            return bool(np.max(np.abs(comp @ rho)) < 1e-10 and np.max(np.abs(rho @ comp)) < 1e-10)
+
+        symmetric = random_symmetric_density(n, rng)
+        g = rng.standard_normal((2 ** n,) * 2) + 1j * rng.standard_normal((2 ** n,) * 2)
+        # every one-qubit operator is symmetric, so only n >= 2 can be rejected
+        cases = [(symmetric, True), (symmetric + 1e-9 * (g + g.conj().T), n == 1)]
+        if n >= 2:
+            singlet = np.kron(np.outer(SINGLET, SINGLET.conj()), np.eye(2 ** (n - 2)) / 2 ** (n - 2))
+            cases.append((0.9 * symmetric + 0.1 * singlet, False))
+        for rho, expected in cases:
+            assert is_symmetric_support(rho) == oracle(rho) == expected
+
 
 class TestDickeEmbedding:
     def test_n1(self):
