@@ -23,6 +23,7 @@ where both apply.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, sqrt
 
 import numpy as np
@@ -92,7 +93,11 @@ def _check_input(ch, rho_n):
 
 def apply_cloner(ch, rho_n):
     """Full-space channel application; returns the 2^M-dim output operator."""
-    rho_n = _check_input(ch, rho_n)
+    return _apply_full(ch, _check_input(ch, rho_n))
+
+
+def _apply_full(ch, rho_n):
+    """`apply_cloner` on an input `_check_input` has already accepted."""
     n, m = ch.n_in, ch.m_out
     if m > FULL_SPACE_MAX:
         raise ValueError(f"full-space path limited to m_out <= {FULL_SPACE_MAX}; "
@@ -110,12 +115,31 @@ def apply_cloner(ch, rho_n):
     return out
 
 
+@lru_cache(maxsize=None)
+def _dicke_table(n, m):
+    """Read-only coefficients k[w, a, b] = (C(M-N,w) amp[w,a]) amp[w,b], with
+    amp[w, a] = sqrt(C(N,a) / C(M,a+w)), and the flat index (a+w)(M+1) + b+w
+    of out[a+w, b+w] that each term lands on, in (w, a, b) order."""
+    ws = range(m - n + 1)
+    amp = np.array([[sqrt(comb(n, a) / comb(m, a + w)) for a in range(n + 1)]
+                    for w in ws])
+    cw = np.array([float(comb(m - n, w)) for w in ws])
+    k = (cw[:, None] * amp)[:, :, None] * amp[:, None, :]
+    rows = np.arange(m - n + 1)[:, None] + np.arange(n + 1)[None, :]  # a + w
+    flat = (rows[:, :, None] * (m + 1) + rows[:, None, :]).ravel()
+    for arr in (k, flat):
+        arr.flags.writeable = False
+    return k, flat
+
+
 def apply_cloner_dicke(ch, coords_n):
     """Channel in Dicke coordinates: (N+1)x(N+1) in, (M+1)x(M+1) out.
 
     Matrix elements follow from <D^M_j | (|D^N_a> ⊗ |x>) being nonzero only
     for wt(x) = j - a, so the identity on the blanks contributes one binomial
-    factor per excess weight w.
+    factor per excess weight w: out = (N+1)/(M+1) Σ_w C(M-N,w) A_w ρ A_wᵀ.
+    The coefficients come from the cached `_dicke_table(N, M)`; one
+    scatter-add (`np.add.at`, increasing w) sums the terms into the output.
     """
     coords_n = np.asarray(coords_n, dtype=complex)
     n, m = ch.n_in, ch.m_out
@@ -123,16 +147,10 @@ def apply_cloner_dicke(ch, coords_n):
         raise ValueError(f"coords shape {coords_n.shape} does not match n_in={n}")
     if m > DICKE_MAX:
         raise ValueError(f"dicke path limited to m_out <= {DICKE_MAX}")
-    amp = np.zeros((n + 1, m + 1))  # amp[a, a+w] = sqrt(C(N,a) / C(M,a+w))
-    out = np.zeros((m + 1, m + 1), dtype=complex)
-    for w in range(m - n + 1):
-        cw = comb(m - n, w)
-        for a in range(n + 1):
-            amp[a, a + w] = sqrt(comb(n, a) / comb(m, a + w))
-        for a in range(n + 1):
-            for b in range(n + 1):
-                out[a + w, b + w] += cw * amp[a, a + w] * amp[b, b + w] * coords_n[a, b]
-    return out * (n + 1) / (m + 1)
+    k, flat = _dicke_table(n, m)
+    out = np.zeros((m + 1) ** 2, dtype=complex)
+    np.add.at(out, flat, (k * coords_n).ravel())
+    return out.reshape(m + 1, m + 1) * (n + 1) / (m + 1)
 
 
 def reduced_qubit_from_dicke(coords):
@@ -208,7 +226,7 @@ def _symmetric_residual(ch, rho_n):
     the symmetric subspace."""
     if ch.m_out > FULL_SPACE_MAX:
         return 0.0  # dicke path output is symmetric by construction
-    out = apply_cloner(ch, rho_n)
+    out = _apply_full(ch, rho_n)
     v = dicke_basis(ch.m_out)
     return float(np.max(np.abs(out - v @ (v.conj().T @ out))))
 

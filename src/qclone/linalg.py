@@ -96,10 +96,11 @@ def partial_trace(rho, keep, n=None):
 def hermitize(rho, tol=PSD_TOL):
     """Symmetrize floating-point drift; asserts the drift was small."""
     rho = np.asarray(rho, dtype=complex)
-    dev = np.max(np.abs(rho - rho.conj().T))
+    adj = rho.conj().T
+    dev = np.max(np.abs(rho - adj))
     if dev >= tol:
         raise ValueError(f"Hermiticity deviation {dev:.3e} exceeds {tol:.0e}")
-    return (rho + rho.conj().T) / 2
+    return (rho + adj) / 2
 
 
 def min_eigenvalue(rho):

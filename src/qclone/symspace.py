@@ -13,10 +13,9 @@ summing to one; weights may be negative.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, sqrt
+from math import comb, sqrt
 
 import numpy as np
 
@@ -52,20 +51,6 @@ def symmetrizer(n):
     """Projector onto the symmetric subspace, S = V V†."""
     v = dicke_basis(n)
     return _frozen(v @ v.conj().T)
-
-
-def symmetrizer_by_permutation(n):
-    """Independent construction S = (1/n!) Σ_π P_π, for cross-checking."""
-    _check_n(n)
-    dim = 2 ** n
-    shifts = np.arange(n - 1, -1, -1)
-    bits = (np.arange(dim)[:, None] >> shifts[None, :]) & 1
-    s = np.zeros((dim, dim))
-    cols = np.arange(dim)
-    for perm in itertools.permutations(range(n)):
-        target = bits[:, list(perm)] @ (1 << shifts)
-        s[target, cols] += 1.0
-    return s.astype(complex) / factorial(n)
 
 
 def project_dicke(op, n=None):

@@ -5,12 +5,15 @@ on success; failures surface through pytest as usual).
 """
 
 import functools
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qclone
 from qclone.bounds import eta_meas_opt, eta_opt, fidelity_opt
 from qclone.cloner import (
     CloneChannel,
@@ -175,13 +178,17 @@ def test_criterion_8_pseudo_mixture():
 
 @announce("criterion 9: verify-all --seed 1 is byte-identical across runs")
 def test_criterion_9_determinism(tmp_path):
+    # the child imports the same qclone as this process, installed or not
+    src = str(Path(qclone.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     reports = []
     for name in ("a.json", "b.json"):
         path = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "qclone.cli", "verify-all", "--seed", "1",
              "--output", str(path)],
-            capture_output=True, text=True, timeout=600)
+            capture_output=True, text=True, timeout=600, env=env)
         assert proc.returncode == 0, proc.stderr
         reports.append(path.read_bytes())
     assert reports[0] == reports[1]

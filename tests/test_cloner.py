@@ -1,9 +1,12 @@
+from math import comb, sqrt
+
 import numpy as np
 import pytest
 
 from qclone.bounds import eta_opt
 from qclone.cloner import (
     CloneChannel,
+    _dicke_table,
     apply_cloner,
     apply_cloner_dicke,
     certify_universality,
@@ -37,6 +40,20 @@ def dense_cloner(n, m, rho_n):
     """Reference channel (N+1)/(M+1) S_M (rho ⊗ 1) S_M with the dense symmetrizer."""
     s = symmetrizer(m)
     return (n + 1) / (m + 1) * (s @ np.kron(rho_n, np.eye(2 ** (m - n))) @ s)
+
+
+def loop_dicke_cloner(n, m, coords_n):
+    """Reference Dicke-coordinate channel as an explicit loop over (w, a, b)."""
+    amp = np.zeros((n + 1, m + 1))  # amp[a, a+w] = sqrt(C(N,a) / C(M,a+w))
+    out = np.zeros((m + 1, m + 1), dtype=complex)
+    for w in range(m - n + 1):
+        cw = comb(m - n, w)
+        for a in range(n + 1):
+            amp[a, a + w] = sqrt(comb(n, a) / comb(m, a + w))
+        for a in range(n + 1):
+            for b in range(n + 1):
+                out[a + w, b + w] += cw * amp[a, a + w] * amp[b, b + w] * coords_n[a, b]
+    return out * (n + 1) / (m + 1)
 
 
 class TestChannelDescriptor:
@@ -108,6 +125,24 @@ class TestDickePath:
         fast = apply_cloner_dicke(CloneChannel(n, m), project_dicke(rho_n, n))
         assert np.max(np.abs(project_dicke(full, m) - fast)) < 1e-10
         assert np.max(np.abs(embed_dicke(fast) - full)) < 1e-10
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_loop_oracle(self, n):
+        rng = rng_from_seed(900 + n)
+        for m in [*range(n, 13), 16, 32, 60]:
+            g = rng.standard_normal((n + 1,) * 2) + 1j * rng.standard_normal((n + 1,) * 2)
+            coords = g @ g.conj().T
+            coords /= coords.trace()
+            fast = apply_cloner_dicke(CloneChannel(n, m), coords)
+            assert np.max(np.abs(fast - loop_dicke_cloner(n, m, coords))) <= 1e-15
+
+    def test_table_is_read_only(self):
+        k, flat = _dicke_table(3, 10)
+        assert k.shape == (8, 4, 4) and flat.shape == (8 * 4 * 4,)
+        for arr in (k, flat):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     def test_reduction_from_dicke_coords(self):
         rng = rng_from_seed(6)

@@ -1,3 +1,6 @@
+import itertools
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -10,11 +13,23 @@ from qclone.symspace import (
     pseudo_mixture_decompose,
     random_symmetric_density,
     symmetrizer,
-    symmetrizer_by_permutation,
     tensor_power_dicke,
 )
 
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
+
+
+def symmetrizer_by_permutation(n):
+    """Independent construction S = (1/n!) Σ_π P_π, for cross-checking."""
+    dim = 2 ** n
+    shifts = np.arange(n - 1, -1, -1)
+    bits = (np.arange(dim)[:, None] >> shifts[None, :]) & 1
+    s = np.zeros((dim, dim))
+    cols = np.arange(dim)
+    for perm in itertools.permutations(range(n)):
+        target = bits[:, list(perm)] @ (1 << shifts)
+        s[target, cols] += 1.0
+    return s.astype(complex) / factorial(n)
 
 
 class TestDickeBasis:
