@@ -40,7 +40,6 @@ from .estimator import (
 )
 from .bounds import (
     check_identities,
-    cross_check,
     eta_meas_opt,
     eta_opt,
     fidelity_meas_opt,
@@ -58,7 +57,7 @@ __all__ = [
     "tensor_power_input",
     "EstimationReport", "estimate_monte_carlo", "estimation_fidelity_exact",
     "measure_and_prepare_channel", "verify_statement_b",
-    "check_identities", "cross_check", "eta_meas_opt", "eta_opt",
+    "check_identities", "eta_meas_opt", "eta_opt",
     "fidelity_meas_opt", "fidelity_opt",
 ]
 

@@ -9,8 +9,8 @@ Every closed form lives here as a Fraction, independent of the simulator:
 
 The identities among them (multiplicativity under concatenation, the
 measurement value as the many-clone limit, measurement never beating
-coherent cloning at finite M) are checked in exact arithmetic; floats only
-appear at the simulator bridge (`cross_check`).
+coherent cloning at finite M) are checked in exact arithmetic; the
+simulator's floats are compared against them only in the CLI checks.
 """
 
 from __future__ import annotations
@@ -104,10 +104,3 @@ def check_identities(n, m, l):
         fidelity_meas_opt=fidelity_meas_opt(m),
         inequality_checks=checks,
     )
-
-
-def cross_check(sim_eta, exact, tol):
-    """Bridge between the floating simulator and the exact ledger."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return abs(sim_eta - float(exact)) < tol

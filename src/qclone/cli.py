@@ -35,7 +35,7 @@ from .estimator import (
     verify_statement_b,
 )
 from .linalg import bloch_of, haar_random_pure, min_eigenvalue, partial_trace, rng_from_seed
-from .symspace import dicke_basis, pseudo_mixture_decompose, random_symmetric_density
+from .symspace import pseudo_mixture_decompose, random_symmetric_density, symmetric_residual
 
 DEFAULT_TOL = 1e-9
 
@@ -227,7 +227,7 @@ def run_verify_all(seed, samples, tol):
     rng = rng_from_seed(seed + 777)
     for n in (1, 2, 3):
         rho_n = random_symmetric_density(n, rng, min_bloch=0.1)
-        s_in = bloch_of(partial_trace(rho_n, {0}, n)) if n > 1 else bloch_of(rho_n)
+        s_in = bloch_of(partial_trace(rho_n, {0}, n))
         m = n + 2
         rep = measure_shrinking(CloneChannel(n, m), rho_n)
         checks.append(_check("mixed-input-clone-eta", bd.eta_opt(n, m),
@@ -270,10 +270,9 @@ def _sanity_checks(n, m, seed):
         _check("sanity-trace", 1.0, float(out.trace().real), 1e-12, n=n, m=m),
         _flag("sanity-min-eigenvalue", min_eigenvalue(out) >= -1e-10, n=n, m=m),
     ]
-    v = dicke_basis(m)
-    checks.append(_check("sanity-symmetric-residual", 0.0,
-                         float(np.max(np.abs(out - v @ (v.conj().T @ out)))), 1e-11, n=n, m=m))
-    reductions = [partial_trace(out, {q}, m) for q in range(m)] if m > 1 else [out]
+    checks.append(_check("sanity-symmetric-residual", 0.0, symmetric_residual(out),
+                         1e-11, n=n, m=m))
+    reductions = [partial_trace(out, {q}, m) for q in range(m)]
     dev = max(float(np.max(np.abs(r - reductions[0]))) for r in reductions)
     checks.append(_check("sanity-reductions-identical", 0.0, dev, 1e-11, n=n, m=m))
     return checks

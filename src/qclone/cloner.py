@@ -8,16 +8,18 @@ trace-preserving on symmetric inputs. It scales the Bloch vector of the
 single-qubit reduction by N(M+2)/(M(N+2)) without rotating it; saturation
 of that optimum is verified by the test suite, not assumed here.
 
-The measured shrinking factor and fidelity come from the Dicke-coordinate
-engine for every M ≤ 60: it works directly on the (N+1)- and (M+1)-dim
-coordinate spaces. The full 2^M-space path (M ≤ 12) is the independent
+Certification works on Dicke coordinates, a complete description of a
+symmetric input: `certify_universality` draws tensor powers as
+(N+1)-dim coordinate vectors and measures input and output qubit, shrinking
+factor and fidelity there, for every 1 ≤ N ≤ M ≤ 60. `measure_shrinking`
+takes a full-space operator, checks its support and projects it onto the
+same coordinates. The full 2^M-space path (M ≤ 12) is the independent
 oracle behind the symmetric-support residual, the CLI sanity checks, the
 first stage of concatenation and the cloning/measure-and-prepare
 composition (statement B). Neither path forms the dense symmetrizer: with
 V the Dicke isometry, the full-space path contracts rho against V to get
-V†(rho ⊗ 1)V and returns (N+1)/(M+1) V (...) V†, and the input support
-check costs O(4^N N) instead of O(8^N). The two paths agree within 1e-10
-where both apply.
+V†(rho ⊗ 1)V and returns (N+1)/(M+1) V (...) V†. The two paths agree
+within 1e-10 where both apply.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .linalg import (
     bloch_of,
     haar_random_pure,
     hermitize,
-    partial_trace,
     pure_fidelity,
     rng_from_seed,
 )
@@ -43,6 +44,7 @@ from .symspace import (
     embed_dicke,
     is_symmetric_support,
     project_dicke,
+    symmetric_residual,
     tensor_power_dicke,
 )
 
@@ -115,6 +117,11 @@ def _apply_full(ch, rho_n):
     return out
 
 
+def _check_dicke(ch):
+    if ch.m_out > DICKE_MAX:
+        raise ValueError(f"dicke path limited to m_out <= {DICKE_MAX}")
+
+
 @lru_cache(maxsize=None)
 def _dicke_table(n, m):
     """Read-only coefficients k[w, a, b] = (C(M-N,w) amp[w,a]) amp[w,b], with
@@ -145,8 +152,7 @@ def apply_cloner_dicke(ch, coords_n):
     n, m = ch.n_in, ch.m_out
     if coords_n.shape != (n + 1, n + 1):
         raise ValueError(f"coords shape {coords_n.shape} does not match n_in={n}")
-    if m > DICKE_MAX:
-        raise ValueError(f"dicke path limited to m_out <= {DICKE_MAX}")
+    _check_dicke(ch)
     k, flat = _dicke_table(n, m)
     out = np.zeros((m + 1) ** 2, dtype=complex)
     np.add.at(out, flat, (k * coords_n).ravel())
@@ -168,15 +174,6 @@ def reduced_qubit_from_dicke(coords):
     return np.array([[p00, p01], [np.conj(p01), p11]])
 
 
-def _output_reduced_qubit(ch, rho_n):
-    """One output clone's density operator, through Dicke coordinates.
-
-    The test suite pins this path against the full-space oracle for M ≤ 12.
-    """
-    coords = project_dicke(np.asarray(rho_n, dtype=complex), ch.n_in)
-    return reduced_qubit_from_dicke(apply_cloner_dicke(ch, coords))
-
-
 def measure_shrinking(ch, rho_n):
     """Bloch-length ratio between one output clone and the reduced input.
 
@@ -184,14 +181,18 @@ def measure_shrinking(ch, rho_n):
     asserts the output Bloch vector is parallel to the input one.
     """
     rho_n = _check_input(ch, rho_n)
-    reduced_in = partial_trace(rho_n, {0}, ch.n_in) if ch.n_in > 1 else rho_n
-    s_in = bloch_of(reduced_in)
+    return _measure_coords(ch, project_dicke(rho_n, ch.n_in))
+
+
+def _measure_coords(ch, coords):
+    """`measure_shrinking` on the Dicke coordinates of an accepted input."""
+    s_in = bloch_of(reduced_qubit_from_dicke(coords))
     len_in = np.linalg.norm(s_in)
     if len_in < MIN_BLOCH_LENGTH:
         raise DegenerateInputError(
             f"reduced input Bloch length {len_in:.2e} below {MIN_BLOCH_LENGTH:.0e}; "
             "shrinking factor undefined")
-    out_qubit = _output_reduced_qubit(ch, rho_n)
+    out_qubit = reduced_qubit_from_dicke(apply_cloner_dicke(ch, coords))
     s_out = bloch_of(hermitize(out_qubit))
     len_out = np.linalg.norm(s_out)
     eta = len_out / len_in
@@ -210,7 +211,7 @@ def measure_shrinking(ch, rho_n):
         eta_predicted=ch.eta_predicted,
         fidelity_measured=pure_fidelity(psi_dir, out_qubit),
         universality_spread=0.0,
-        output_symmetric_residual=_symmetric_residual(ch, rho_n),
+        output_symmetric_residual=_symmetric_residual(ch, coords),
     )
 
 
@@ -221,28 +222,27 @@ def _direction_state(s):
     return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
 
 
-def _symmetric_residual(ch, rho_n):
-    """max |out - V V† out| of the full-space output, the part of it outside
-    the symmetric subspace."""
+def _symmetric_residual(ch, coords):
+    """max |out - V V† out| of the full-space output of the embedded input,
+    the part of it outside the symmetric subspace."""
     if ch.m_out > FULL_SPACE_MAX:
         return 0.0  # dicke path output is symmetric by construction
-    out = _apply_full(ch, rho_n)
-    v = dicke_basis(ch.m_out)
-    return float(np.max(np.abs(out - v @ (v.conj().T @ out))))
+    return symmetric_residual(_apply_full(ch, embed_dicke(coords)))
 
 
 def certify_universality(ch, n_samples, seed):
-    """Apply the channel to Haar-random tensor-power inputs; the measured
-    shrinking factor must not depend on the input state."""
+    """Apply the channel to Haar-random tensor-power inputs, drawn as Dicke
+    coordinates; the measured shrinking factor must not depend on the input."""
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
+    _check_dicke(ch)
     rng = rng_from_seed(seed)
     etas = []
     fids = []
     residual = 0.0
     for _ in range(n_samples):
-        rho_n = tensor_power_input(haar_random_pure(rng), ch.n_in)
-        rep = measure_shrinking(ch, rho_n)
+        c = tensor_power_dicke(haar_random_pure(rng), ch.n_in)
+        rep = _measure_coords(ch, np.outer(c, c.conj()))
         etas.append(rep.eta_measured)
         fids.append(rep.fidelity_measured)
         residual = max(residual, rep.output_symmetric_residual)

@@ -18,6 +18,7 @@ M/(M+2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,22 +64,6 @@ class CompositionReport:
     direct_fidelity: float         # (M+1)/(M+2), the L-independent value
 
 
-def _kahan_add(total, comp, term):
-    y = term - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
-
-
-def kahan_sum(terms):
-    """Compensated summation; order-independent to ~1e-16 relative."""
-    total = 0.0
-    comp = 0.0
-    for term in terms:
-        total, comp = _kahan_add(total, comp, term)
-    return total
-
-
 @lru_cache(maxsize=None)
 def sphere_quadrature(m):
     """Nodes and weights exact for the degree arising at M = m copies.
@@ -120,7 +105,7 @@ def estimation_fidelity_exact(m, psi):
     states, weights = sphere_quadrature(m)
     overlap2 = np.abs(states @ psi.conj()) ** 2
     terms = (m + 1) * weights * overlap2 ** (m + 1)
-    fid = kahan_sum(terms)
+    fid = math.fsum(terms)
     probs = (m + 1) * weights * overlap2 ** m
     rho_bar = np.einsum("i,ij,ik->jk", probs, states, states.conj())
     eta = 2 * fid - 1

@@ -23,7 +23,6 @@ ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
 class DegenerateInputError(ValueError):
@@ -61,11 +60,6 @@ def kron_power(op, k):
     for _ in range(k):
         out = np.kron(out, op)
     return out
-
-
-def pure_projector(psi):
-    psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
 
 
 def partial_trace(rho, keep, n=None):
@@ -112,7 +106,8 @@ def bloch_of(rho):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 operator, got shape {rho.shape}")
-    comps = np.array([np.trace(p @ rho) for p in PAULIS])
+    r01, r10 = rho[0, 1], rho[1, 0]
+    comps = np.array((r01 + r10, 1j * (r01 - r10), rho[0, 0] - rho[1, 1]))
     if np.max(np.abs(comps.imag)) > STRUCT_TOL:
         raise ValueError("Bloch components have non-negligible imaginary part")
     return comps.real

@@ -74,6 +74,15 @@ def embed_dicke(coords):
     return v @ coords @ v.conj().T
 
 
+def symmetric_residual(op):
+    """max |op - V(V† op)|: the largest entry of the part of op's columns
+    outside the symmetric subspace, O(4^n n) through the (2^n, n+1)
+    isometry; the dense symmetrizer is never formed."""
+    op = np.asarray(op, dtype=complex)
+    v = dicke_basis(int(round(np.log2(op.shape[0]))))
+    return float(np.max(np.abs(op - v @ (v.conj().T @ op))))
+
+
 def is_symmetric_support(rho, tol=PSD_TOL):
     """True iff rho lives entirely on the symmetric subspace.
 
@@ -83,7 +92,7 @@ def is_symmetric_support(rho, tol=PSD_TOL):
     rho = np.asarray(rho, dtype=complex)
     n = int(round(np.log2(rho.shape[0])))
     v = dicke_basis(n)
-    return bool(np.max(np.abs(rho - v @ (v.conj().T @ rho))) < tol
+    return bool(symmetric_residual(rho) < tol
                 and np.max(np.abs(rho - (rho @ v) @ v.conj().T)) < tol)
 
 

@@ -120,6 +120,10 @@ CLONE = ["clone", "--n", "1", "--m", "2", "--samples", "2"]
     (["verify-all", "--samples", "0"], 2),
     (CLONE + ["--seed", "0"], 0),
     (CLONE + ["--seed", str(2 ** 64 - 1)], 0),
+    (["clone", "--n", "14", "--m", "20", "--samples", "2"], 0),
+    (["clone", "--n", "60", "--m", "60", "--samples", "2"], 0),
+    (["clone", "--n", "61", "--m", "61", "--samples", "2"], 2),
+    (["clone", "--n", "2000", "--m", "2000", "--samples", "2"], 2),
 ])
 def test_argument_contract(capsys, argv, code):
     try:

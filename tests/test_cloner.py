@@ -206,6 +206,23 @@ class TestUniversality:
         b = certify_universality(CloneChannel(1, 3), 20, seed=9)
         assert a == b
 
+    # M = 12 measures a 4096-dim full-space residual per sample: 2 samples there.
+    @pytest.mark.parametrize("n,m,samples", [(1, 2, 20), (2, 8, 20), (4, 12, 2),
+                                             (3, 16, 20), (6, 40, 20)])
+    def test_matches_full_space_route(self, n, m, samples):
+        # The same psi sequence, embedded in the 2^N space and measured there.
+        ch = CloneChannel(n, m)
+        rng = rng_from_seed(11)
+        reps = [measure_shrinking(ch, tensor_power_input(haar_random_pure(rng), n))
+                for _ in range(samples)]
+        etas = np.array([r.eta_measured for r in reps])
+        rep = certify_universality(ch, samples, seed=11)
+        assert abs(rep.eta_measured - etas.mean()) < 1e-14
+        assert abs(rep.fidelity_measured - np.mean([r.fidelity_measured for r in reps])) < 1e-14
+        assert abs(rep.universality_spread - (etas.max() - etas.min())) < 1e-14
+        assert abs(rep.output_symmetric_residual
+                   - max(r.output_symmetric_residual for r in reps)) < 1e-14
+
 
 class TestConcatenation:
     def test_1_2_4_equals_direct(self):
