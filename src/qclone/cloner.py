@@ -12,14 +12,14 @@ Certification works on Dicke coordinates, a complete description of a
 symmetric input: `certify_universality` draws tensor powers as
 (N+1)-dim coordinate vectors and measures input and output qubit, shrinking
 factor and fidelity there, for every 1 ≤ N ≤ M ≤ 60. `measure_shrinking`
-takes a full-space operator, checks its support and projects it onto the
-same coordinates. The full 2^M-space path (M ≤ 12) is the independent
-oracle behind the symmetric-support residual, the CLI sanity checks, the
-first stage of concatenation and the cloning/measure-and-prepare
-composition (statement B). Neither path forms the dense symmetrizer: with
-V the Dicke isometry, the full-space path contracts rho against V to get
-V†(rho ⊗ 1)V and returns (N+1)/(M+1) V (...) V†. The two paths agree
-within 1e-10 where both apply.
+takes a full-space operator and gets its support check and the same
+coordinates from one pass (`symmetric_coords`). The full 2^M-space path
+(M ≤ 12) is the independent oracle behind the symmetric-support residual,
+the CLI sanity checks, the first stage of concatenation and the
+cloning/measure-and-prepare composition (statement B). Neither path forms
+the dense symmetrizer: with V the Dicke isometry, the full-space path
+contracts rho against V to get V†(rho ⊗ 1)V and returns
+(N+1)/(M+1) V (...) V†. The two paths agree within 1e-10 where both apply.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 
 from .linalg import (
     DegenerateInputError,
-    PSD_TOL,
     bloch_of,
     haar_random_pure,
     hermitize,
@@ -42,8 +41,7 @@ from .linalg import (
 from .symspace import (
     dicke_basis,
     embed_dicke,
-    is_symmetric_support,
-    project_dicke,
+    symmetric_coords,
     symmetric_residual,
     tensor_power_dicke,
 )
@@ -83,23 +81,24 @@ class CloneReport:
     output_symmetric_residual: float
 
 
-def _check_input(ch, rho_n):
+def _input_coords(ch, rho_n):
+    """Dicke coordinates of a full-space input on the symmetric subspace."""
     rho_n = np.asarray(rho_n, dtype=complex)
     if rho_n.shape != (2 ** ch.n_in,) * 2:
         raise ValueError(
             f"input shape {rho_n.shape} does not match n_in={ch.n_in}")
-    if not is_symmetric_support(rho_n, tol=PSD_TOL):
-        raise ValueError("cloner input must be supported on the symmetric subspace")
-    return rho_n
+    return symmetric_coords(rho_n)
 
 
 def apply_cloner(ch, rho_n):
     """Full-space channel application; returns the 2^M-dim output operator."""
-    return _apply_full(ch, _check_input(ch, rho_n))
+    rho_n = np.asarray(rho_n, dtype=complex)
+    _input_coords(ch, rho_n)  # shape and support check
+    return _apply_full(ch, rho_n)
 
 
 def _apply_full(ch, rho_n):
-    """`apply_cloner` on an input `_check_input` has already accepted."""
+    """`apply_cloner` on an input `_input_coords` has already accepted."""
     n, m = ch.n_in, ch.m_out
     if m > FULL_SPACE_MAX:
         raise ValueError(f"full-space path limited to m_out <= {FULL_SPACE_MAX}; "
@@ -180,8 +179,7 @@ def measure_shrinking(ch, rho_n):
     Requires a non-degenerate reduced input (Bloch length >= 1e-6) and
     asserts the output Bloch vector is parallel to the input one.
     """
-    rho_n = _check_input(ch, rho_n)
-    return _measure_coords(ch, project_dicke(rho_n, ch.n_in))
+    return _measure_coords(ch, _input_coords(ch, rho_n))
 
 
 def _measure_coords(ch, coords):

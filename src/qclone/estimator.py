@@ -25,13 +25,12 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import (
-    PSD_TOL,
     haar_random_pure_batch,
     hermitize,
     pure_fidelity,
     rng_from_seed,
 )
-from .symspace import is_symmetric_support, project_dicke, tensor_power_dicke
+from .symspace import symmetric_coords, tensor_power_dicke
 from .cloner import CloneChannel, apply_cloner, tensor_power_input
 
 EXACT_MAX_COPIES = 20
@@ -88,11 +87,21 @@ def sphere_quadrature(m):
     return states, weights
 
 
+@lru_cache(maxsize=None)
+def quadrature_powers(m):
+    """Read-only Dicke coefficients of |phi_i>^⊗m, one row per node phi_i
+    of `sphere_quadrature(m)`."""
+    states, _ = sphere_quadrature(m)
+    vecs = np.array([tensor_power_dicke(psi, m) for psi in states])
+    vecs.flags.writeable = False
+    return vecs
+
+
 def povm_completeness_residual(m):
     """Max-entry deviation of ∫ (M+1)|phi^⊗M><phi^⊗M| dμ from the identity
     on the symmetric subspace (in Dicke coordinates)."""
-    states, weights = sphere_quadrature(m)
-    vecs = np.array([tensor_power_dicke(psi, m) for psi in states])
+    _, weights = sphere_quadrature(m)
+    vecs = quadrature_powers(m)
     acc = (m + 1) * np.einsum("i,ij,ik->jk", weights, vecs, vecs.conj())
     return float(np.max(np.abs(acc - np.eye(m + 1))))
 
@@ -185,11 +194,9 @@ def measure_and_prepare_channel(m, rho_m):
     rho_m = np.asarray(rho_m, dtype=complex)
     if rho_m.shape != (2 ** m,) * 2:
         raise ValueError(f"input shape {rho_m.shape} does not match m={m}")
-    if not is_symmetric_support(rho_m, tol=PSD_TOL):
-        raise ValueError("input must be supported on the symmetric subspace")
-    coords = project_dicke(rho_m, m)
+    coords = symmetric_coords(rho_m)
     states, weights = sphere_quadrature(m)
-    vecs = np.array([tensor_power_dicke(psi, m) for psi in states])
+    vecs = quadrature_powers(m)
     probs = (m + 1) * weights * np.einsum("ij,jk,ik->i", vecs.conj(), coords, vecs).real
     rho_bar = np.einsum("i,ij,ik->jk", probs, states, states.conj())
     return hermitize(rho_bar)

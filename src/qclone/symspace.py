@@ -6,9 +6,18 @@ strings with k ones. `dicke_basis` returns the isometry V into the full
 2^n space; `project_dicke`/`embed_dicke` move operators between the
 (n+1)-dimensional coordinate space and the full space.
 
+Row i of V has a single nonzero, C(n, popcount i)^(-1/2), so V†ρ and ρV are
+sums over popcount classes. `symmetric_coords` uses this to check that a
+full-space input lies on the symmetric subspace and to project it onto
+Dicke coordinates in one pass over ρ; for a C-contiguous complex128 ρ the
+pass allocates no 2^n x 2^n temporary. `is_symmetric_support` is the same
+pass's verdict.
+
 `pseudo_mixture_decompose` writes any symmetric density operator as a
 signed combination of identical tensor-power pure projectors with weights
-summing to one; weights may be negative.
+summing to one; weights may be negative. The projectors sit at the nodes
+of the exact spherical design `estimator.sphere_quadrature(n)`, and the
+weights come from its canonical dual frame.
 """
 
 from __future__ import annotations
@@ -19,9 +28,10 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .linalg import STRUCT_TOL, PSD_TOL, PHYS_TOL, bloch_of, partial_trace
+from .linalg import PSD_TOL, PHYS_TOL, bloch_of, partial_trace
 
 MAX_QUBITS = 14
+BLOCK_ENTRIES = 2 ** 15   # complex entries (512 KiB) per block of the support pass
 
 
 def _check_n(n):
@@ -76,24 +86,84 @@ def embed_dicke(coords):
 
 def symmetric_residual(op):
     """max |op - V(V† op)|: the largest entry of the part of op's columns
-    outside the symmetric subspace, O(4^n n) through the (2^n, n+1)
-    isometry; the dense symmetrizer is never formed."""
-    op = np.asarray(op, dtype=complex)
-    v = dicke_basis(int(round(np.log2(op.shape[0]))))
-    return float(np.max(np.abs(op - v @ (v.conj().T @ op))))
+    outside the symmetric subspace. V V† op replaces each row of op by the
+    mean of its popcount class (see `_support_pass`, whose left half this
+    is), so the work is one real BLAS product and a blocked subtraction;
+    the dense symmetrizer is never formed."""
+    op = np.ascontiguousarray(op, dtype=complex)
+    d = op.shape[0]
+    n = d.bit_length() - 1
+    _check_n(n)
+    ones, ind, _, inv_binom = _popcount_classes(n)
+    row_means = (ind.T @ op.view(float)).view(complex) * inv_binom[:, None]
+    left = 0.0   # np.maximum keeps a NaN entry
+    rows = max(1, BLOCK_ENTRIES // op.shape[1])
+    for i in range(0, d, rows):
+        left = np.maximum(left, np.max(np.abs(op[i:i + rows] - row_means[ones[i:i + rows]])))
+    return float(left)
+
+
+@lru_cache(maxsize=None)
+def _popcount_classes(n):
+    """Read-only popcount k(i) of each basis index, the real class indicator
+    E[i, k] = [popcount i == k], E ⊗ 1_2 for the interleaved real view of a
+    complex operator, and 1 / C(n, k)."""
+    idx = np.arange(2 ** n)
+    ones = sum((idx >> q) & 1 for q in range(n))
+    ind = (ones[:, None] == np.arange(n + 1)).astype(float)
+    ind2 = np.kron(ind, np.eye(2))
+    inv_binom = np.array([1.0 / comb(n, k) for k in range(n + 1)])
+    return tuple(_frozen(arr) for arr in (ones, ind, ind2, inv_binom))
+
+
+def _support_pass(rho):
+    """(max|ρ - VV†ρ|, max|ρ - ρVV†|, V†ρV) of a 2^n x 2^n operator.
+
+    VV†ρ replaces each row by the mean of its popcount class and ρVV† each
+    column by the mean of its class, so both come from the class sums
+    Eᵀρ and ρE, two real BLAS products on the float view of ρ. The
+    residuals are then taken in row blocks of BLOCK_ENTRIES entries. For a
+    C-contiguous complex128 ρ no array of the size of ρ is allocated; any
+    other input (real, complex64, a transpose or Fortran order) is first
+    copied to that layout.
+    """
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    d = rho.shape[0] if rho.ndim == 2 else 0
+    if rho.shape != (d, d) or d < 2 or d & (d - 1):
+        raise ValueError(f"operator shape {rho.shape} is not 2^n x 2^n")
+    n = d.bit_length() - 1
+    _check_n(n)
+    ones, ind, ind2, inv_binom = _popcount_classes(n)
+    flat = rho.view(float)
+    row_sums = (ind.T @ flat).view(complex)           # (n+1, d)
+    col_sums = (flat @ ind2).view(complex)            # (d, n+1)
+    row_means = row_sums * inv_binom[:, None]
+    col_means = col_sums * inv_binom[None, :]
+    left = right = 0.0   # np.maximum keeps a NaN entry, so it is never accepted
+    rows = max(1, BLOCK_ENTRIES // d)
+    for i in range(0, d, rows):
+        block = rho[i:i + rows]
+        left = np.maximum(left, np.max(np.abs(block - row_means[ones[i:i + rows]])))
+        right = np.maximum(right, np.max(np.abs(block - col_means[i:i + rows][:, ones])))
+    scale = np.sqrt(inv_binom)
+    coords = scale[:, None] * (row_sums.view(float) @ ind2).view(complex) * scale[None, :]
+    return float(left), float(right), coords
 
 
 def is_symmetric_support(rho, tol=PSD_TOL):
-    """True iff rho lives entirely on the symmetric subspace.
+    """True iff rho lives entirely on the symmetric subspace: both
+    max|rho - V V† rho| and max|rho - rho V V†| are below tol."""
+    left, right, _ = _support_pass(rho)
+    return bool(left < tol and right < tol)
 
-    Compares rho with V V† rho and rho V V† through the (2^n, n+1) isometry,
-    O(4^n n) work; the dense 2^n symmetrizer is never formed.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    n = int(round(np.log2(rho.shape[0])))
-    v = dicke_basis(n)
-    return bool(symmetric_residual(rho) < tol
-                and np.max(np.abs(rho - (rho @ v) @ v.conj().T)) < tol)
+
+def symmetric_coords(rho):
+    """V† rho V of an operator on the symmetric subspace; raises ValueError
+    when rho fails `is_symmetric_support(rho)`."""
+    left, right, coords = _support_pass(rho)
+    if not (left < PSD_TOL and right < PSD_TOL):
+        raise ValueError("input has weight outside the symmetric subspace")
+    return coords
 
 
 def tensor_power_dicke(psi, n):
@@ -123,39 +193,35 @@ class PseudoMixture:
         return out
 
 
-def _frame_states(n):
-    """(n+1)^2 pure states on staggered polar rings, avoiding the poles.
-
-    The staggering between rings keeps the tensor-power projectors linearly
-    independent (aligned azimuth grids are degenerate for small n).
-    """
-    states = []
-    for a in range(n + 1):
-        theta = np.pi * (a + 1) / (n + 2)
-        for b in range(n + 1):
-            phi = 2 * np.pi * (b + a / (n + 1)) / (n + 1)
-            states.append([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
-    return np.array(states)
-
-
 def pseudo_mixture_decompose(rho_n, tol=PHYS_TOL):
     """Decompose a symmetric-support density operator over the fixed frame.
 
-    Solves a real least-squares system on the Dicke-coordinate operator
-    space; the residual is asserted below `tol` and the weight sum below
-    1e-10 of unity.
+    The residual is asserted below `tol` and the weight sum below 1e-10 of
+    unity.
     """
-    rho_n = np.asarray(rho_n, dtype=complex)
-    n = int(round(np.log2(rho_n.shape[0])))
-    if not is_symmetric_support(rho_n):
-        raise ValueError("input has weight outside the symmetric subspace")
-    target = project_dicke(rho_n, n)
-    states = _frame_states(n)
-    vecs = np.array([tensor_power_dicke(psi, n) for psi in states])
+    return _decompose_coords(symmetric_coords(rho_n), tol)
+
+
+def _decompose_coords(target, tol=PHYS_TOL):
+    """`pseudo_mixture_decompose` on Dicke coordinates.
+
+    The frame is P_i = |phi_i><phi_i|^⊗n at the nodes phi_i, weights q_i of
+    `sphere_quadrature(n)`, exact to Bloch degree 2n, so the frame operator
+    G = Σ q_i vec(P_i) vec(P_i)† is the continuous one. Its canonical dual
+    frame gives w_i = q_i Re<P_i, G⁻¹ vec(rho)>; one refinement step solves
+    again for the reconstruction residual.
+    """
+    # imported here because estimator imports this module
+    from .estimator import quadrature_powers, sphere_quadrature
+
+    n = target.shape[0] - 1
+    states, q = sphere_quadrature(n)
+    vecs = quadrature_powers(n)
     projs = np.einsum("ij,ik->ijk", vecs, vecs.conj()).reshape(len(states), -1)
-    a = np.concatenate([projs.real, projs.imag], axis=1).T
-    b = np.concatenate([target.reshape(-1).real, target.reshape(-1).imag])
-    weights, *_ = np.linalg.lstsq(a, b, rcond=None)
+    frame_op = (projs.T * q) @ projs.conj()
+    b = target.reshape(-1)
+    weights = q * (projs.conj() @ np.linalg.solve(frame_op, b)).real
+    weights += q * (projs.conj() @ np.linalg.solve(frame_op, b - weights @ projs)).real
     recon = (weights @ projs).reshape(target.shape)
     residual = float(np.max(np.abs(recon - target)))
     if residual >= tol:

@@ -26,7 +26,6 @@ from qclone.linalg import (
 )
 from qclone.symspace import (
     embed_dicke,
-    is_symmetric_support,
     project_dicke,
     random_symmetric_density,
     symmetrizer,

@@ -9,6 +9,7 @@ from qclone.estimator import (
     estimation_fidelity_exact,
     measure_and_prepare_channel,
     povm_completeness_residual,
+    quadrature_powers,
     sample_candidates,
     sphere_quadrature,
     verify_statement_b,
@@ -38,6 +39,14 @@ class TestQuadrature:
     def test_weights_normalized(self):
         _, weights = sphere_quadrature(4)
         assert abs(math.fsum(weights) - 1) < 1e-13
+
+    @pytest.mark.parametrize("m", [1, 7, 20])
+    def test_node_powers_cached_bit_equal(self, m):
+        states, _ = sphere_quadrature(m)
+        vecs = quadrature_powers(m)
+        assert vecs is quadrature_powers(m)
+        assert not vecs.flags.writeable
+        assert np.array_equal(vecs, [tensor_power_dicke(psi, m) for psi in states])
 
 
 class TestExactEstimation:

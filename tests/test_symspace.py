@@ -1,22 +1,42 @@
 import itertools
+import tracemalloc
 from math import factorial
 
 import numpy as np
 import pytest
 
+from qclone import symspace
 from qclone.linalg import haar_random_pure, kron_power, rng_from_seed
 from qclone.symspace import (
+    _decompose_coords,
+    _support_pass,
     dicke_basis,
     embed_dicke,
     is_symmetric_support,
     project_dicke,
     pseudo_mixture_decompose,
     random_symmetric_density,
+    symmetric_coords,
+    symmetric_residual,
     symmetrizer,
     tensor_power_dicke,
 )
 
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
+
+
+def ginibre_coords(rng, n):
+    """Random full-rank density operator in Dicke coordinates."""
+    g = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))
+    coords = g @ g.conj().T
+    return coords / coords.trace()
+
+
+def generic_density(rng, n):
+    """Random rank-3 density operator on the full 2^n space."""
+    a = rng.standard_normal((2 ** n, 3)) + 1j * rng.standard_normal((2 ** n, 3))
+    rho = a @ a.conj().T
+    return rho / rho.trace()
 
 
 def symmetrizer_by_permutation(n):
@@ -120,8 +140,75 @@ class TestSymmetricSupport:
         if n >= 2:
             singlet = np.kron(np.outer(SINGLET, SINGLET.conj()), np.eye(2 ** (n - 2)) / 2 ** (n - 2))
             cases.append((0.9 * symmetric + 0.1 * singlet, False))
+            # |sym><anti|: columns on the symmetric subspace, rows off it, so
+            # only the right half, rho VV† = rho, rejects it
+            anti = np.kron(SINGLET, np.eye(2 ** (n - 2))[0])
+            lopsided = symmetric + 0.1 * np.outer(dicke_basis(n)[:, 0], anti)
+            assert np.max(np.abs(comp @ lopsided)) < 1e-10
+            cases.append((lopsided, False))
         for rho, expected in cases:
             assert is_symmetric_support(rho) == oracle(rho) == expected
+
+
+class TestSupportPass:
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_projection_matches_dense(self, n):
+        rng = rng_from_seed(600 + n)
+        for rho in (embed_dicke(ginibre_coords(rng, n)), generic_density(rng, n)):
+            *_, coords = _support_pass(rho)
+            assert np.max(np.abs(coords - project_dicke(rho, n))) < 1e-15
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_residuals_match_dense(self, n):
+        rng = rng_from_seed(700 + n)
+        comp = np.eye(2 ** n) - symmetrizer(n)
+        x = rng.standard_normal((2 ** n,) * 2) + 1j * rng.standard_normal((2 ** n,) * 2)
+        left, right, _ = _support_pass(x)
+        assert symmetric_residual(x) == left
+        assert abs(left - np.max(np.abs(comp @ x))) < 1e-13
+        assert abs(right - np.max(np.abs(x @ comp))) < 1e-13
+
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_block_size_does_not_matter(self, n, monkeypatch):
+        # rows per block: 1, 3 (does not divide 2^n) and more than 2^n
+        rng = rng_from_seed(800 + n)
+        rho = 0.5 * embed_dicke(ginibre_coords(rng, n)) + 0.5 * generic_density(rng, n)
+        left, right, coords = _support_pass(rho)
+        d = 2 ** n
+        for entries in (1, 3 * d, (d + 5) * d):
+            monkeypatch.setattr(symspace, "BLOCK_ENTRIES", entries)
+            other_left, other_right, other_coords = _support_pass(rho)
+            assert (other_left, other_right) == (left, right)
+            assert symmetric_residual(rho) == left
+            assert np.array_equal(other_coords, coords)
+
+    def test_contiguous_input_is_not_copied(self):
+        # a C-contiguous complex128 input is read in place: the pass's peak
+        # allocation stays far below one 2^n x 2^n array, while a transposed
+        # view has to be copied first
+        rho = embed_dicke(ginibre_coords(rng_from_seed(850), 10))
+        _support_pass(rho)   # fill the per-n caches outside the measurement
+        peaks = []
+        for op in (rho, rho.T):
+            tracemalloc.start()
+            try:
+                _support_pass(op)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < rho.nbytes / 4
+        assert peaks[1] >= rho.nbytes
+
+    @pytest.mark.parametrize("shape", [(4, 8), (3, 3), (6, 6), (1, 1), (4,), (2, 2, 2), ()])
+    def test_rejects_bad_shapes(self, shape):
+        op = np.zeros(shape, dtype=complex)
+        for check in (_support_pass, is_symmetric_support, symmetric_coords):
+            with pytest.raises(ValueError):
+                check(op)
+
+    def test_symmetric_coords_rejects_outside_weight(self):
+        with pytest.raises(ValueError):
+            symmetric_coords(np.outer(SINGLET, SINGLET.conj()))
 
 
 class TestDickeEmbedding:
@@ -184,6 +271,28 @@ class TestPseudoMixture:
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError):
             pseudo_mixture_decompose(np.outer(SINGLET, SINGLET.conj()))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_decompose_workload_n11(self, seed):
+        # the inputs of perfbench's decompose workload: Ginibre in Dicke
+        # coordinates from Philox(key=seed), drawn for (qubits, count) in
+        # this order; at n = 11 a least-squares frame failed its weight sum
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        for n, count in ((8, 4), (10, 4), (11, 2)):
+            for _ in range(count):
+                coords = ginibre_coords(rng, n)
+                if n == 11:
+                    pm = pseudo_mixture_decompose(embed_dicke(coords))
+                    assert np.max(np.abs(pm.reconstruct_dicke() - coords)) < 1e-9
+                    assert abs(pm.weights.sum() - 1) <= 1e-10
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_coordinate_core_sweep(self, n):
+        rng = rng_from_seed(900 + n)
+        for _ in range(20):
+            pm = _decompose_coords(ginibre_coords(rng, n))
+            assert pm.residual < 1e-9
+            assert abs(pm.weights.sum() - 1) <= 1e-10
 
 
 def test_random_symmetric_density_min_bloch():
