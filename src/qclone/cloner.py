@@ -9,11 +9,17 @@ single-qubit reduction by N(M+2)/(M(N+2)) without rotating it; saturation
 of that optimum is verified by the test suite, not assumed here.
 
 Certification works on Dicke coordinates, a complete description of a
-symmetric input: `certify_universality` draws tensor powers as
-(N+1)-dim coordinate vectors and measures input and output qubit, shrinking
-factor and fidelity there, for every 1 ≤ N ≤ M ≤ 60. `measure_shrinking`
-takes a full-space operator and gets its support check and the same
-coordinates from one pass (`symmetric_coords`). The full 2^M-space path
+symmetric input, for every 1 ≤ N ≤ M ≤ 60. One batched core measures input
+and output qubit, shrinking factor and fidelity for s inputs at once: it
+sends the (s, N+1, N+1) coordinates through the cached cloner table in one
+scatter-add and runs the reductions, Bloch vectors and every guard as array
+operations. `certify_universality` draws its Haar tensor powers in chunks of
+s = BLOCK_ENTRIES // max((M+1)², table entries) samples (at least one), so
+neither the table terms nor the outputs of a chunk exceed
+`symspace.BLOCK_ENTRIES` complex entries, and keeps only running sums and
+extremes: memory does not grow with the sample count. `measure_shrinking`
+is the batch of one; it takes a full-space operator and gets its support
+check and coordinates from one pass (`symmetric_coords`). The full 2^M-space path
 (M ≤ 12) is the independent oracle behind the symmetric-support residual,
 the CLI sanity checks, the first stage of concatenation and the
 cloning/measure-and-prepare composition (statement B). Neither path forms
@@ -33,12 +39,12 @@ import numpy as np
 from .linalg import (
     DegenerateInputError,
     bloch_of,
-    haar_random_pure,
     hermitize,
     pure_fidelity,
     rng_from_seed,
 )
 from .symspace import (
+    BLOCK_ENTRIES,
     dicke_basis,
     embed_dicke,
     symmetric_coords,
@@ -139,121 +145,153 @@ def _dicke_table(n, m):
 
 
 def apply_cloner_dicke(ch, coords_n):
-    """Channel in Dicke coordinates: (N+1)x(N+1) in, (M+1)x(M+1) out.
+    """Channel in Dicke coordinates: (N+1)x(N+1) in, (M+1)x(M+1) out; a
+    batch (s, N+1, N+1) of inputs gives the batch (s, M+1, M+1) of outputs.
 
     Matrix elements follow from <D^M_j | (|D^N_a> ⊗ |x>) being nonzero only
     for wt(x) = j - a, so the identity on the blanks contributes one binomial
     factor per excess weight w: out = (N+1)/(M+1) Σ_w C(M-N,w) A_w ρ A_wᵀ.
     The coefficients come from the cached `_dicke_table(N, M)`; one
-    scatter-add (`np.add.at`, increasing w) sums the terms into the output.
+    scatter-add (`np.add.at` over the flattened batch, increasing w within
+    each input) sums the terms into the outputs.
     """
     coords_n = np.asarray(coords_n, dtype=complex)
     n, m = ch.n_in, ch.m_out
-    if coords_n.shape != (n + 1, n + 1):
+    if coords_n.ndim not in (2, 3) or coords_n.shape[-2:] != (n + 1, n + 1):
         raise ValueError(f"coords shape {coords_n.shape} does not match n_in={n}")
     _check_dicke(ch)
     k, flat = _dicke_table(n, m)
-    out = np.zeros((m + 1) ** 2, dtype=complex)
-    np.add.at(out, flat, (k * coords_n).ravel())
-    return out.reshape(m + 1, m + 1) * (n + 1) / (m + 1)
+    batch = coords_n.reshape(-1, n + 1, n + 1)
+    out = np.zeros(coords_n.shape[:-2] + (m + 1, m + 1), dtype=complex)
+    index = flat + (m + 1) ** 2 * np.arange(len(batch))[:, None]  # into the flat batch
+    np.add.at(out.reshape(-1), index.ravel(), (k * batch[:, None]).ravel())
+    out *= n + 1
+    out /= m + 1
+    return out
 
 
 def reduced_qubit_from_dicke(coords):
-    """Single-qubit reduction of a symmetric m-qubit state in Dicke coords."""
+    """Single-qubit reduction of a symmetric m-qubit state in Dicke coords;
+    leading axes are a batch, (..., m+1, m+1) -> (..., 2, 2)."""
     coords = np.asarray(coords, dtype=complex)
-    m = coords.shape[0] - 1
+    m = coords.shape[-1] - 1
     if m < 1:
         raise ValueError("need at least one qubit")
     ks = np.arange(m + 1)
-    diag = np.diagonal(coords)
-    p00 = np.sum(diag * (m - ks)) / m
-    p11 = np.sum(diag * ks) / m
-    off = np.diagonal(coords, offset=1)  # coords[k, k+1]
-    p01 = np.sum(off * np.sqrt((ks[:-1] + 1) * (m - ks[:-1]))) / m
-    return np.array([[p00, p01], [np.conj(p01), p11]])
+    diag = np.diagonal(coords, axis1=-2, axis2=-1)
+    p00 = np.sum(diag * (m - ks), axis=-1) / m
+    p11 = np.sum(diag * ks, axis=-1) / m
+    off = np.diagonal(coords, offset=1, axis1=-2, axis2=-1)  # coords[k, k+1]
+    p01 = np.sum(off * np.sqrt((ks[:-1] + 1) * (m - ks[:-1])), axis=-1) / m
+    return np.stack((np.stack((p00, p01), axis=-1),
+                     np.stack((np.conj(p01), p11), axis=-1)), axis=-2)
 
 
 def measure_shrinking(ch, rho_n):
     """Bloch-length ratio between one output clone and the reduced input.
 
     Requires a non-degenerate reduced input (Bloch length >= 1e-6) and
-    asserts the output Bloch vector is parallel to the input one.
+    asserts the output Bloch vector is parallel to the input one. This is
+    the certification core on a batch of one input.
     """
-    return _measure_coords(ch, _input_coords(ch, rho_n))
+    return _certify(ch, [_input_coords(ch, rho_n)[None]])
 
 
-def _measure_coords(ch, coords):
-    """`measure_shrinking` on the Dicke coordinates of an accepted input."""
-    s_in = bloch_of(reduced_qubit_from_dicke(coords))
-    len_in = np.linalg.norm(s_in)
-    if len_in < MIN_BLOCH_LENGTH:
-        raise DegenerateInputError(
-            f"reduced input Bloch length {len_in:.2e} below {MIN_BLOCH_LENGTH:.0e}; "
-            "shrinking factor undefined")
-    out_qubit = reduced_qubit_from_dicke(apply_cloner_dicke(ch, coords))
-    s_out = bloch_of(hermitize(out_qubit))
-    len_out = np.linalg.norm(s_out)
-    eta = len_out / len_in
-    # Angle via the perpendicular residual; arccos of the normalized dot
-    # product cannot resolve angles below ~1e-8.
-    unit_in = s_in / len_in
-    perp = s_out - np.dot(s_out, unit_in) * unit_in
-    angle = np.arcsin(np.clip(np.linalg.norm(perp) / len_out, 0.0, 1.0))
-    if angle > 1e-9:
-        raise RuntimeError(f"output Bloch vector rotated by {angle:.3e} rad")
-    psi_dir = _direction_state(s_in)
+def _certify(ch, batches):
+    """CloneReport over every input of `batches`, an iterable of Dicke
+    coordinate arrays (s, N+1, N+1) of accepted inputs: mean shrinking factor
+    and fidelity, the spread of the shrinking factors and the largest
+    full-space residual. Only running sums and extremes outlive a batch."""
+    count = 0
+    eta_sum = fid_sum = residual = 0.0
+    eta_min, eta_max = np.inf, -np.inf
+    for coords in batches:
+        etas, fids = _measure_batch(ch, coords)
+        count += len(etas)
+        eta_sum += etas.sum()
+        fid_sum += fids.sum()
+        eta_min, eta_max = min(eta_min, etas.min()), max(eta_max, etas.max())
+        residual = max(residual, _symmetric_residual(ch, coords))
     return CloneReport(
         n_in=ch.n_in,
         m_out=ch.m_out,
-        eta_measured=float(eta),
+        eta_measured=float(eta_sum / count),
         eta_predicted=ch.eta_predicted,
-        fidelity_measured=pure_fidelity(psi_dir, out_qubit),
-        universality_spread=0.0,
-        output_symmetric_residual=_symmetric_residual(ch, coords),
+        fidelity_measured=float(fid_sum / count),
+        universality_spread=float(eta_max - eta_min),
+        output_symmetric_residual=residual,
     )
 
 
+def _measure_batch(ch, coords):
+    """Shrinking factor and direction-state fidelity of each input of the
+    batch `coords` (s, N+1, N+1); raises if any reduced input is degenerate,
+    any output Bloch vector is rotated or any output qubit is not Hermitian."""
+    s_in = bloch_of(reduced_qubit_from_dicke(coords))
+    len_in = np.linalg.norm(s_in, axis=-1)
+    if len_in.min() < MIN_BLOCH_LENGTH:
+        raise DegenerateInputError(
+            f"reduced input Bloch length {len_in.min():.2e} below {MIN_BLOCH_LENGTH:.0e}; "
+            "shrinking factor undefined")
+    out_qubit = reduced_qubit_from_dicke(apply_cloner_dicke(ch, coords))
+    s_out = bloch_of(hermitize(out_qubit))
+    len_out = np.linalg.norm(s_out, axis=-1)
+    # Angle via the perpendicular residual; arccos of the normalized dot
+    # product cannot resolve angles below ~1e-8.
+    unit_in = s_in / len_in[:, None]
+    perp = s_out - np.sum(s_out * unit_in, axis=-1, keepdims=True) * unit_in
+    angle = np.arcsin(np.clip(np.linalg.norm(perp, axis=-1) / len_out, 0.0, 1.0))
+    if angle.max() > 1e-9:
+        raise RuntimeError(f"output Bloch vector rotated by {angle.max():.3e} rad")
+    return len_out / len_in, pure_fidelity(_direction_state(s_in), out_qubit)
+
+
 def _direction_state(s):
-    x, y, z = s / np.linalg.norm(s)
-    theta = np.arccos(np.clip(z, -1.0, 1.0))
-    phi = np.arctan2(y, x)
-    return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+    """Pure qubit states along the Bloch vectors s (..., 3), shape (..., 2)."""
+    unit = s / np.linalg.norm(s, axis=-1, keepdims=True)
+    theta = np.arccos(np.clip(unit[..., 2], -1.0, 1.0))
+    phi = np.arctan2(unit[..., 1], unit[..., 0])
+    return np.stack((np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)), axis=-1)
 
 
 def _symmetric_residual(ch, coords):
-    """max |out - V V† out| of the full-space output of the embedded input,
-    the part of it outside the symmetric subspace."""
+    """Largest max |out - V V† out| over the full-space outputs of the
+    embedded inputs of a batch, the part outside the symmetric subspace."""
     if ch.m_out > FULL_SPACE_MAX:
         return 0.0  # dicke path output is symmetric by construction
-    return symmetric_residual(_apply_full(ch, embed_dicke(coords)))
+    return max(symmetric_residual(_apply_full(ch, embed_dicke(c))) for c in coords)
+
+
+def _chunk_size(ch):
+    """Samples per certification batch: neither the table terms nor the
+    output coordinates of a batch exceed BLOCK_ENTRIES complex entries."""
+    n, m = ch.n_in, ch.m_out
+    return max(1, BLOCK_ENTRIES // max((m + 1) ** 2, (m - n + 1) * (n + 1) ** 2))
+
+
+def _haar_tensor_powers(rng, count, n):
+    """Dicke coordinates (count, n+1, n+1) of |psi><psi|^⊗n for count
+    Haar-random psi, the same draws as count calls of haar_random_pure."""
+    x = rng.standard_normal((count, 2, 2))
+    psi = x[:, 0] + 1j * x[:, 1]
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    ks = np.arange(n + 1)
+    binom = np.array([sqrt(comb(n, k)) for k in range(n + 1)])
+    c = binom * psi[:, :1] ** (n - ks) * psi[:, 1:] ** ks
+    return c[:, :, None] * c[:, None, :].conj()
 
 
 def certify_universality(ch, n_samples, seed):
     """Apply the channel to Haar-random tensor-power inputs, drawn as Dicke
-    coordinates; the measured shrinking factor must not depend on the input."""
+    coordinates in batches of `_chunk_size`; the measured shrinking factor
+    must not depend on the input."""
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     _check_dicke(ch)
     rng = rng_from_seed(seed)
-    etas = []
-    fids = []
-    residual = 0.0
-    for _ in range(n_samples):
-        c = tensor_power_dicke(haar_random_pure(rng), ch.n_in)
-        rep = _measure_coords(ch, np.outer(c, c.conj()))
-        etas.append(rep.eta_measured)
-        fids.append(rep.fidelity_measured)
-        residual = max(residual, rep.output_symmetric_residual)
-    etas = np.array(etas)
-    return CloneReport(
-        n_in=ch.n_in,
-        m_out=ch.m_out,
-        eta_measured=float(etas.mean()),
-        eta_predicted=ch.eta_predicted,
-        fidelity_measured=float(np.mean(fids)),
-        universality_spread=float(etas.max() - etas.min()),
-        output_symmetric_residual=residual,
-    )
+    chunk = _chunk_size(ch)
+    return _certify(ch, (_haar_tensor_powers(rng, min(chunk, n_samples - i), ch.n_in)
+                         for i in range(0, n_samples, chunk)))
 
 
 def concat_channels(first, second, rho_n):

@@ -88,9 +88,10 @@ def partial_trace(rho, keep, n=None):
 
 
 def hermitize(rho, tol=PSD_TOL):
-    """Symmetrize floating-point drift; asserts the drift was small."""
+    """Symmetrize floating-point drift; asserts the drift was small. Leading
+    axes are a batch: each trailing square matrix is symmetrized."""
     rho = np.asarray(rho, dtype=complex)
-    adj = rho.conj().T
+    adj = rho.conj().swapaxes(-1, -2)
     dev = np.max(np.abs(rho - adj))
     if dev >= tol:
         raise ValueError(f"Hermiticity deviation {dev:.3e} exceeds {tol:.0e}")
@@ -102,12 +103,13 @@ def min_eigenvalue(rho):
 
 
 def bloch_of(rho):
-    """Bloch vector (Tr ρσx, Tr ρσy, Tr ρσz) of a single-qubit operator."""
+    """Bloch vector (Tr ρσx, Tr ρσy, Tr ρσz) of a single-qubit operator;
+    shape (..., 2, 2) gives one vector per operator, shape (..., 3)."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
+    if rho.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 operator, got shape {rho.shape}")
-    r01, r10 = rho[0, 1], rho[1, 0]
-    comps = np.array((r01 + r10, 1j * (r01 - r10), rho[0, 0] - rho[1, 1]))
+    r01, r10 = rho[..., 0, 1], rho[..., 1, 0]
+    comps = np.stack((r01 + r10, 1j * (r01 - r10), rho[..., 0, 0] - rho[..., 1, 1]), axis=-1)
     if np.max(np.abs(comps.imag)) > STRUCT_TOL:
         raise ValueError("Bloch components have non-negligible imaginary part")
     return comps.real
@@ -136,10 +138,12 @@ def haar_random_pure_batch(rng, count):
 
 
 def pure_fidelity(psi, rho):
-    """F = <psi| rho |psi> for a single-qubit rho."""
+    """F = <psi| rho |psi> for a single-qubit rho, as a float; psi of shape
+    (..., 2) and rho of shape (..., 2, 2) give an array of one F per pair."""
     psi = np.asarray(psi, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
-    val = psi.conj() @ rho @ psi
-    if abs(val.imag) > PHYS_TOL:
-        raise ValueError(f"fidelity has imaginary part {val.imag:.3e}")
-    return float(val.real)
+    val = (psi.conj()[..., None, :] @ rho @ psi[..., :, None])[..., 0, 0]
+    imag = np.max(np.abs(val.imag))
+    if imag > PHYS_TOL:
+        raise ValueError(f"fidelity has imaginary part {imag:.3e}")
+    return float(val.real) if val.ndim == 0 else val.real

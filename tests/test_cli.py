@@ -124,6 +124,7 @@ CLONE = ["clone", "--n", "1", "--m", "2", "--samples", "2"]
     (["clone", "--n", "60", "--m", "60", "--samples", "2"], 0),
     (["clone", "--n", "61", "--m", "61", "--samples", "2"], 2),
     (["clone", "--n", "2000", "--m", "2000", "--samples", "2"], 2),
+    (["clone", "--n", "6", "--m", "60", "--samples", "5000"], 0),
 ])
 def test_argument_contract(capsys, argv, code):
     try:

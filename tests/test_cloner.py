@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb, sqrt
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from qclone.bounds import eta_opt
 from qclone.cloner import (
     CloneChannel,
+    _chunk_size,
     _dicke_table,
+    _measure_batch,
     apply_cloner,
     apply_cloner_dicke,
     certify_universality,
@@ -18,8 +21,10 @@ from qclone.cloner import (
 from qclone.linalg import (
     DegenerateInputError,
     bloch_of,
+    hermitize,
     min_eigenvalue,
     partial_trace,
+    pure_fidelity,
     rng_from_seed,
     haar_random_pure,
     state_from_bloch,
@@ -28,7 +33,10 @@ from qclone.symspace import (
     embed_dicke,
     project_dicke,
     random_symmetric_density,
+    symmetric_coords,
+    symmetric_residual,
     symmetrizer,
+    tensor_power_dicke,
 )
 
 KET0 = np.array([1, 0], dtype=complex)
@@ -53,6 +61,33 @@ def loop_dicke_cloner(n, m, coords_n):
             for b in range(n + 1):
                 out[a + w, b + w] += cw * amp[a, a + w] * amp[b, b + w] * coords_n[a, b]
     return out * (n + 1) / (m + 1)
+
+
+def loop_measure(ch, coords):
+    """Reference certification of one input, given as Dicke coordinates:
+    (shrinking factor, direction-state fidelity, full-space residual)."""
+    s_in = bloch_of(reduced_qubit_from_dicke(coords))
+    len_in = np.linalg.norm(s_in)
+    out_qubit = reduced_qubit_from_dicke(apply_cloner_dicke(ch, coords))
+    s_out = bloch_of(hermitize(out_qubit))
+    x, y, z = s_in / len_in
+    theta, phi = np.arccos(np.clip(z, -1.0, 1.0)), np.arctan2(y, x)
+    psi_dir = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+    residual = (symmetric_residual(apply_cloner(ch, embed_dicke(coords)))
+                if ch.m_out <= 12 else 0.0)
+    return np.linalg.norm(s_out) / len_in, pure_fidelity(psi_dir, out_qubit), residual
+
+
+def loop_certify(ch, n_samples, seed):
+    """Reference `certify_universality`: one Haar draw and one `loop_measure`
+    per sample; (eta mean, fidelity mean, eta spread, worst residual)."""
+    rng = rng_from_seed(seed)
+    rows = []
+    for _ in range(n_samples):
+        c = tensor_power_dicke(haar_random_pure(rng), ch.n_in)
+        rows.append(loop_measure(ch, np.outer(c, c.conj())))
+    etas, fids, residuals = np.array(rows).T
+    return etas.mean(), fids.mean(), etas.max() - etas.min(), residuals.max()
 
 
 class TestChannelDescriptor:
@@ -135,6 +170,24 @@ class TestDickePath:
             fast = apply_cloner_dicke(CloneChannel(n, m), coords)
             assert np.max(np.abs(fast - loop_dicke_cloner(n, m, coords))) <= 1e-15
 
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 7), (6, 60)])
+    def test_batch_matches_single_inputs(self, n, m):
+        rng = rng_from_seed(950 + n + m)
+        g = rng.standard_normal((5, n + 1, n + 1)) + 1j * rng.standard_normal((5, n + 1, n + 1))
+        coords = g @ g.conj().swapaxes(1, 2)
+        ch = CloneChannel(n, m)
+        out = apply_cloner_dicke(ch, coords)
+        assert out.shape == (5, m + 1, m + 1)
+        reduced = reduced_qubit_from_dicke(out)
+        for i in range(5):
+            assert np.array_equal(out[i], apply_cloner_dicke(ch, coords[i]))
+            assert np.array_equal(reduced[i], reduced_qubit_from_dicke(out[i]))
+
+    def test_rejects_bad_batch_shapes(self):
+        for shape in [(4, 4), (2, 2, 3, 3), (3,), (2, 2, 2)]:
+            with pytest.raises(ValueError):
+                apply_cloner_dicke(CloneChannel(2, 4), np.zeros(shape, dtype=complex))
+
     def test_table_is_read_only(self):
         k, flat = _dicke_table(3, 10)
         assert k.shape == (8, 4, 4) and flat.shape == (8 * 4 * 4,)
@@ -171,6 +224,32 @@ class TestMeasureShrinking:
     def test_degenerate_input_rejected(self):
         with pytest.raises(DegenerateInputError):
             measure_shrinking(CloneChannel(1, 2), np.eye(2, dtype=complex) / 2)
+
+    @pytest.mark.parametrize("n,m", [(1, 2), (2, 5), (3, 10), (4, 30)])
+    def test_matches_loop_oracle(self, n, m):
+        # pure and mixed inputs, each the batch of one of the certification core
+        ch = CloneChannel(n, m)
+        rng = rng_from_seed(60 + n + m)
+        for rho_n in (tensor_power_input(haar_random_pure(rng), n),
+                      random_symmetric_density(n, rng, min_bloch=0.1)):
+            rep = measure_shrinking(ch, rho_n)
+            eta, fid, residual = loop_measure(ch, symmetric_coords(rho_n))
+            assert abs(rep.eta_measured - eta) <= 1e-14
+            assert abs(rep.fidelity_measured - fid) <= 1e-14
+            assert abs(rep.output_symmetric_residual - residual) <= 1e-14
+            assert rep.universality_spread == 0.0
+
+    def test_batch_guards_each_input(self):
+        # one bad input among good ones fails the whole batch
+        ch = CloneChannel(2, 5)
+        good = symmetric_coords(tensor_power_input(PLUS, 2))
+        mixed = np.eye(3, dtype=complex) / 3
+        with pytest.raises(DegenerateInputError):
+            _measure_batch(ch, np.stack([good, mixed, good]))
+        skew = good.copy()
+        skew[1, 1] += 1e-6j
+        with pytest.raises(ValueError):
+            _measure_batch(ch, np.stack([good, good, skew]))
 
     @pytest.mark.parametrize("n,m", [(1, 3), (2, 4), (2, 6), (3, 7)])
     def test_mixed_symmetric_inputs_shrink_linearly(self, n, m):
@@ -221,6 +300,33 @@ class TestUniversality:
         assert abs(rep.universality_spread - (etas.max() - etas.min())) < 1e-14
         assert abs(rep.output_symmetric_residual
                    - max(r.output_symmetric_residual for r in reps)) < 1e-14
+
+
+    @pytest.mark.parametrize("n,m,samples,chunk", [(6, 60, 50, 8), (1, 16, 300, 113),
+                                                   (2, 8, 20, 404), (3, 10, 5, 256)])
+    def test_matches_loop_oracle(self, n, m, samples, chunk):
+        # sample counts that cross several chunk boundaries, and single chunks
+        ch = CloneChannel(n, m)
+        assert _chunk_size(ch) == chunk
+        rep = certify_universality(ch, samples, seed=21)
+        eta, fid, spread, residual = loop_certify(ch, samples, seed=21)
+        assert abs(rep.eta_measured - eta) <= 1e-14
+        assert abs(rep.fidelity_measured - fid) <= 1e-14
+        assert abs(rep.universality_spread - spread) <= 1e-14
+        assert abs(rep.output_symmetric_residual - residual) <= 1e-14
+
+    def test_memory_does_not_grow_with_samples(self):
+        ch = CloneChannel(6, 60)
+        certify_universality(ch, 2, seed=3)   # fill the table cache outside the measurement
+        peaks = []
+        for samples in (100, 2000):
+            tracemalloc.start()
+            try:
+                certify_universality(ch, samples, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] * 1.01
 
 
 class TestConcatenation:

@@ -192,3 +192,27 @@ def test_hermitize_bounds_drift():
 
 def test_degenerate_error_is_value_error():
     assert issubclass(DegenerateInputError, ValueError)
+
+
+def test_batched_forms_match_single_operators():
+    rng = rng_from_seed(31)
+    psis = haar_random_pure_batch(rng, 6)
+    rhos = np.array([state_from_bloch(0.9 * bloch_of(proj(p)))
+                     for p in haar_random_pure_batch(rng, 6)])
+    rhos[:, 0, 1] += 1e-13   # drift for hermitize to remove
+    assert np.array_equal(hermitize(rhos), [hermitize(r) for r in rhos])
+    assert np.array_equal(bloch_of(rhos), [bloch_of(r) for r in rhos])
+    assert np.array_equal(pure_fidelity(psis, rhos),
+                          [pure_fidelity(p, r) for p, r in zip(psis, rhos)])
+    assert isinstance(pure_fidelity(psis[0], rhos[0]), float)
+
+
+def test_batched_guards_check_every_operator():
+    rhos = np.array([ID2 / 2] * 4, dtype=complex)
+    rhos[2, 0, 1] = 1e-6     # one operator far from Hermitian
+    with pytest.raises(ValueError):
+        hermitize(rhos)
+    with pytest.raises(ValueError):
+        bloch_of(rhos)
+    with pytest.raises(ValueError):
+        pure_fidelity(np.array([[1, 1j]] * 4) / np.sqrt(2), rhos)
