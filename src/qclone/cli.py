@@ -25,16 +25,18 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds as bd
-from .cloner import CloneChannel, apply_cloner, certify_universality, measure_shrinking, tensor_power_input
+from .cloner import (CloneChannel, _check_dicke, apply_cloner, apply_cloner_dicke,
+                     certify_universality, measure_shrinking_dicke, tensor_power_input)
 from .estimator import (
     estimate_monte_carlo,
     estimation_fidelity_exact,
-    measure_and_prepare_channel,
+    measure_and_prepare_dicke,
     povm_completeness_residual,
     verify_statement_b,
 )
 from .linalg import bloch_of, haar_random_pure, min_eigenvalue, partial_trace, rng_from_seed
-from .symspace import pseudo_mixture_decompose, random_symmetric_density, symmetric_residual
+from .symspace import (pseudo_mixture_decompose_dicke, random_symmetric_dicke,
+                       reduced_qubit_from_dicke, symmetric_residual, tensor_power_dicke)
 
 DEFAULT_TOL = 1e-9
 
@@ -151,14 +153,14 @@ def run_estimate(m, shots, seed, tol):
 
 
 def run_concat(n, m, l, seed, tol):
-    psi = haar_random_pure(rng_from_seed(seed))
-    rho_n = tensor_power_input(psi, n)
     first, second, direct = CloneChannel(n, m), CloneChannel(m, l), CloneChannel(n, l)
-    mid = apply_cloner(first, rho_n)
-    eta1 = measure_shrinking(first, rho_n).eta_measured
-    eta2 = measure_shrinking(second, mid).eta_measured
+    _check_dicke(direct)
+    v = tensor_power_dicke(haar_random_pure(rng_from_seed(seed)), n)
+    coords = np.outer(v, v.conj())
+    eta1 = float(measure_shrinking_dicke(first, coords)[0])
+    eta2 = float(measure_shrinking_dicke(second, apply_cloner_dicke(first, coords))[0])
     eta_chain = eta1 * eta2
-    eta_direct = measure_shrinking(direct, rho_n).eta_measured
+    eta_direct = float(measure_shrinking_dicke(direct, coords)[0])
     exact = bd.eta_opt(n, l)
     checks = [
         _check("concat-chain-eta", exact, eta_chain, tol, n=n, m=m, l=l),
@@ -229,13 +231,12 @@ def run_verify_all(seed, samples, tol):
     # Mixed symmetric inputs: cloner and measurement both scale linearly.
     rng = rng_from_seed(seed + 777)
     for n in (1, 2, 3):
-        rho_n = random_symmetric_density(n, rng, min_bloch=0.1)
-        s_in = bloch_of(partial_trace(rho_n, {0}, n))
+        coords = random_symmetric_dicke(n, rng, min_bloch=0.1)
+        s_in = bloch_of(reduced_qubit_from_dicke(coords))
         m = n + 2
-        rep = measure_shrinking(CloneChannel(n, m), rho_n)
-        checks.append(_check("mixed-input-clone-eta", bd.eta_opt(n, m),
-                             rep.eta_measured, tol, n=n, m=m))
-        rho_bar = measure_and_prepare_channel(n, rho_n)
+        eta, _ = measure_shrinking_dicke(CloneChannel(n, m), coords)
+        checks.append(_check("mixed-input-clone-eta", bd.eta_opt(n, m), eta, tol, n=n, m=m))
+        rho_bar = measure_and_prepare_dicke(coords)
         scale = np.linalg.norm(bloch_of(rho_bar)) / np.linalg.norm(s_in)
         checks.append(_check("mixed-input-measurement-eta", bd.eta_meas_opt(n),
                              scale, tol, m=n))
@@ -247,7 +248,7 @@ def run_verify_all(seed, samples, tol):
     worst_sum = 0.0
     for n in (1, 2, 3, 4):
         for _ in range(5):
-            pm = pseudo_mixture_decompose(random_symmetric_density(n, rng))
+            pm = pseudo_mixture_decompose_dicke(random_symmetric_dicke(n, rng))
             worst_residual = max(worst_residual, pm.residual)
             worst_sum = max(worst_sum, abs(float(pm.weights.sum()) - 1.0))
             saw_negative = saw_negative or pm.min_weight < 0

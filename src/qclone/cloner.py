@@ -9,23 +9,23 @@ single-qubit reduction by N(M+2)/(M(N+2)) without rotating it; saturation
 of that optimum is verified by the test suite, not assumed here.
 
 Certification works on Dicke coordinates, a complete description of a
-symmetric input, for every 1 ≤ N ≤ M ≤ 60. One batched core measures input
-and output qubit, shrinking factor and fidelity for s inputs at once: it
-sends the (s, N+1, N+1) coordinates through the cached cloner table in one
-scatter-add and runs the reductions, Bloch vectors and every guard as array
-operations. `certify_universality` draws its Haar tensor powers in chunks of
+symmetric input, for every 1 ≤ N ≤ M ≤ 60. One batched core
+(`measure_shrinking_dicke`) measures input and output qubit, shrinking
+factor and fidelity for s inputs at once: it sends the (s, N+1, N+1)
+coordinates through the cached cloner table in one scatter-add and runs
+the reductions, Bloch vectors and every guard as array operations.
+`certify_universality` draws its Haar tensor powers in chunks of
 s = BLOCK_ENTRIES // max((M+1)², table entries) samples (at least one), so
 neither the table terms nor the outputs of a chunk exceed
 `symspace.BLOCK_ENTRIES` complex entries, and keeps only running sums and
 extremes: memory does not grow with the sample count. `measure_shrinking`
 is the batch of one; it takes a full-space operator and gets its support
-check and coordinates from one pass (`symmetric_coords`). The full 2^M-space path
-(M ≤ 12) is the independent oracle behind the symmetric-support residual,
-the CLI sanity checks, the first stage of concatenation and the
-cloning/measure-and-prepare composition (statement B). Neither path forms
-the dense symmetrizer: with V the Dicke isometry, the full-space path
-contracts rho against V to get V†(rho ⊗ 1)V and returns
-(N+1)/(M+1) V (...) V†. The two paths agree within 1e-10 where both apply.
+check and coordinates from one pass (`symmetric_coords`). The full 2^M-space
+path (M ≤ 12) is only the independent oracle behind the symmetric-support
+residual, the CLI sanity checks and the full-space adapters. It does not
+form the dense symmetrizer: with V the Dicke isometry, it contracts rho
+against V to get V†(rho ⊗ 1)V and returns (N+1)/(M+1) V (...) V†. The two
+paths agree within 1e-10 where both apply.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .symspace import (
     BLOCK_ENTRIES,
     dicke_basis,
     embed_dicke,
+    reduced_qubit_from_dicke,
     symmetric_coords,
     symmetric_residual,
     tensor_power_dicke,
@@ -87,24 +88,15 @@ class CloneReport:
     output_symmetric_residual: float
 
 
-def _input_coords(ch, rho_n):
-    """Dicke coordinates of a full-space input on the symmetric subspace."""
-    rho_n = np.asarray(rho_n, dtype=complex)
-    if rho_n.shape != (2 ** ch.n_in,) * 2:
-        raise ValueError(
-            f"input shape {rho_n.shape} does not match n_in={ch.n_in}")
-    return symmetric_coords(rho_n)
-
-
 def apply_cloner(ch, rho_n):
     """Full-space channel application; returns the 2^M-dim output operator."""
     rho_n = np.asarray(rho_n, dtype=complex)
-    _input_coords(ch, rho_n)  # shape and support check
+    symmetric_coords(rho_n, ch.n_in)  # shape and support check
     return _apply_full(ch, rho_n)
 
 
 def _apply_full(ch, rho_n):
-    """`apply_cloner` on an input `_input_coords` has already accepted."""
+    """`apply_cloner` on an input `symmetric_coords` has already accepted."""
     n, m = ch.n_in, ch.m_out
     if m > FULL_SPACE_MAX:
         raise ValueError(f"full-space path limited to m_out <= {FULL_SPACE_MAX}; "
@@ -170,23 +162,6 @@ def apply_cloner_dicke(ch, coords_n):
     return out
 
 
-def reduced_qubit_from_dicke(coords):
-    """Single-qubit reduction of a symmetric m-qubit state in Dicke coords;
-    leading axes are a batch, (..., m+1, m+1) -> (..., 2, 2)."""
-    coords = np.asarray(coords, dtype=complex)
-    m = coords.shape[-1] - 1
-    if m < 1:
-        raise ValueError("need at least one qubit")
-    ks = np.arange(m + 1)
-    diag = np.diagonal(coords, axis1=-2, axis2=-1)
-    p00 = np.sum(diag * (m - ks), axis=-1) / m
-    p11 = np.sum(diag * ks, axis=-1) / m
-    off = np.diagonal(coords, offset=1, axis1=-2, axis2=-1)  # coords[k, k+1]
-    p01 = np.sum(off * np.sqrt((ks[:-1] + 1) * (m - ks[:-1])), axis=-1) / m
-    return np.stack((np.stack((p00, p01), axis=-1),
-                     np.stack((np.conj(p01), p11), axis=-1)), axis=-2)
-
-
 def measure_shrinking(ch, rho_n):
     """Bloch-length ratio between one output clone and the reduced input.
 
@@ -194,7 +169,7 @@ def measure_shrinking(ch, rho_n):
     asserts the output Bloch vector is parallel to the input one. This is
     the certification core on a batch of one input.
     """
-    return _certify(ch, [_input_coords(ch, rho_n)[None]])
+    return _certify(ch, [symmetric_coords(rho_n, ch.n_in)[None]])
 
 
 def _certify(ch, batches):
@@ -206,7 +181,7 @@ def _certify(ch, batches):
     eta_sum = fid_sum = residual = 0.0
     eta_min, eta_max = np.inf, -np.inf
     for coords in batches:
-        etas, fids = _measure_batch(ch, coords)
+        etas, fids = measure_shrinking_dicke(ch, coords)
         count += len(etas)
         eta_sum += etas.sum()
         fid_sum += fids.sum()
@@ -223,10 +198,11 @@ def _certify(ch, batches):
     )
 
 
-def _measure_batch(ch, coords):
+def measure_shrinking_dicke(ch, coords):
     """Shrinking factor and direction-state fidelity of each input of the
-    batch `coords` (s, N+1, N+1); raises if any reduced input is degenerate,
-    any output Bloch vector is rotated or any output qubit is not Hermitian."""
+    batch `coords` (s, N+1, N+1), or of one input (N+1, N+1); raises if any
+    reduced input is degenerate, any output Bloch vector is rotated or any
+    output qubit is not Hermitian."""
     s_in = bloch_of(reduced_qubit_from_dicke(coords))
     len_in = np.linalg.norm(s_in, axis=-1)
     if len_in.min() < MIN_BLOCH_LENGTH:
@@ -238,7 +214,7 @@ def _measure_batch(ch, coords):
     len_out = np.linalg.norm(s_out, axis=-1)
     # Angle via the perpendicular residual; arccos of the normalized dot
     # product cannot resolve angles below ~1e-8.
-    unit_in = s_in / len_in[:, None]
+    unit_in = s_in / len_in[..., None]
     perp = s_out - np.sum(s_out * unit_in, axis=-1, keepdims=True) * unit_in
     angle = np.arcsin(np.clip(np.linalg.norm(perp, axis=-1) / len_out, 0.0, 1.0))
     if angle.max() > 1e-9:
@@ -275,9 +251,7 @@ def _haar_tensor_powers(rng, count, n):
     x = rng.standard_normal((count, 2, 2))
     psi = x[:, 0] + 1j * x[:, 1]
     psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
-    ks = np.arange(n + 1)
-    binom = np.array([sqrt(comb(n, k)) for k in range(n + 1)])
-    c = binom * psi[:, :1] ** (n - ks) * psi[:, 1:] ** ks
+    c = tensor_power_dicke(psi, n)
     return c[:, :, None] * c[:, None, :].conj()
 
 

@@ -31,7 +31,7 @@ from .linalg import (
     rng_from_seed,
 )
 from .symspace import symmetric_coords, tensor_power_dicke
-from .cloner import CloneChannel, apply_cloner, tensor_power_input
+from .cloner import CloneChannel, _check_dicke, apply_cloner_dicke
 
 EXACT_MAX_COPIES = 20
 MC_MAX_COPIES = 12
@@ -92,7 +92,7 @@ def quadrature_powers(m):
     """Read-only Dicke coefficients of |phi_i>^⊗m, one row per node phi_i
     of `sphere_quadrature(m)`."""
     states, _ = sphere_quadrature(m)
-    vecs = np.array([tensor_power_dicke(psi, m) for psi in states])
+    vecs = tensor_power_dicke(states, m)
     vecs.flags.writeable = False
     return vecs
 
@@ -191,10 +191,16 @@ def measure_and_prepare_channel(m, rho_m):
     The single-qubit output of measuring M copies and preparing candidates;
     scales the reduced input Bloch vector by M/(M+2).
     """
-    rho_m = np.asarray(rho_m, dtype=complex)
-    if rho_m.shape != (2 ** m,) * 2:
-        raise ValueError(f"input shape {rho_m.shape} does not match m={m}")
-    coords = symmetric_coords(rho_m)
+    return measure_and_prepare_dicke(symmetric_coords(rho_m, m))
+
+
+def measure_and_prepare_dicke(coords):
+    """`measure_and_prepare_channel` on the Dicke coordinates (M+1)x(M+1)
+    of an M-copy input."""
+    coords = np.asarray(coords, dtype=complex)
+    m = coords.shape[0] - 1
+    if coords.shape != (m + 1, m + 1) or m < 1:
+        raise ValueError(f"coords must be square (m+1)x(m+1), got {coords.shape}")
     states, weights = sphere_quadrature(m)
     vecs = quadrature_powers(m)
     probs = (m + 1) * weights * np.einsum("ij,jk,ik->i", vecs.conj(), coords, vecs).real
@@ -206,17 +212,15 @@ def verify_statement_b(m, l, psi=None):
     """Clone M→L, then measure-and-prepare on the L clones.
 
     The composed estimation fidelity is (1 + eta(M,L) * eta_meas(L)) / 2,
-    which telescopes to (M+1)/(M+2) for every L.
+    which telescopes to (M+1)/(M+2) for every L <= DICKE_MAX.
     """
-    if not 1 <= m <= l <= 10:
-        raise ValueError(f"need 1 <= m <= l <= 10, got ({m}, {l})")
+    ch = CloneChannel(m, l)
+    _check_dicke(ch)
     if psi is None:
         psi = np.array([1.0, 0.0], dtype=complex)
     psi = np.asarray(psi, dtype=complex)
-    rho_m = tensor_power_input(psi, m)
-    ch = CloneChannel(m, l)
-    rho_l = apply_cloner(ch, rho_m)
-    rho_bar = measure_and_prepare_channel(l, rho_l)
+    v = tensor_power_dicke(psi, m)
+    rho_bar = measure_and_prepare_dicke(apply_cloner_dicke(ch, np.outer(v, v.conj())))
     composed = pure_fidelity(psi, rho_bar)
     predicted = (1 + ch.eta_predicted * l / (l + 2)) / 2
     return CompositionReport(

@@ -37,11 +37,11 @@ def rng_from_seed(seed):
 
 
 def n_qubits_of(mat):
-    dim = mat.shape[0]
-    n = int(round(np.log2(dim)))
-    if mat.shape != (dim, dim) or 2 ** n != dim:
+    """n of a 2^n x 2^n operator, n >= 1; ValueError for any other shape."""
+    dim = mat.shape[0] if mat.ndim == 2 else 0
+    if mat.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
         raise ValueError(f"matrix shape {mat.shape} is not 2^n x 2^n")
-    return n
+    return dim.bit_length() - 1
 
 
 def tensor_product(*ops):

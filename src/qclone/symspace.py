@@ -18,6 +18,9 @@ signed combination of identical tensor-power pure projectors with weights
 summing to one; weights may be negative. The projectors sit at the nodes
 of the exact spherical design `estimator.sphere_quadrature(n)`, and the
 weights come from its canonical dual frame.
+
+Production works on Dicke coordinates alone; each full-space adapter is
+`symmetric_coords` followed by a coordinate core, or the embedding of one.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .linalg import PSD_TOL, PHYS_TOL, bloch_of, partial_trace
+from .linalg import PSD_TOL, PHYS_TOL, bloch_of, n_qubits_of
 
 MAX_QUBITS = 14
 BLOCK_ENTRIES = 2 ** 15   # complex entries (512 KiB) per block of the support pass
@@ -37,6 +40,7 @@ BLOCK_ENTRIES = 2 ** 15   # complex entries (512 KiB) per block of the support p
 def _check_n(n):
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"n must be in 1..{MAX_QUBITS}, got {n}")
+    return n
 
 
 def _frozen(arr):
@@ -91,13 +95,12 @@ def symmetric_residual(op):
     is), so the work is one real BLAS product and a blocked subtraction;
     the dense symmetrizer is never formed."""
     op = np.ascontiguousarray(op, dtype=complex)
+    n = _check_n(n_qubits_of(op))
     d = op.shape[0]
-    n = d.bit_length() - 1
-    _check_n(n)
     ones, ind, _, inv_binom = _popcount_classes(n)
     row_means = (ind.T @ op.view(float)).view(complex) * inv_binom[:, None]
     left = 0.0   # np.maximum keeps a NaN entry
-    rows = max(1, BLOCK_ENTRIES // op.shape[1])
+    rows = max(1, BLOCK_ENTRIES // d)
     for i in range(0, d, rows):
         left = np.maximum(left, np.max(np.abs(op[i:i + rows] - row_means[ones[i:i + rows]])))
     return float(left)
@@ -128,11 +131,8 @@ def _support_pass(rho):
     copied to that layout.
     """
     rho = np.ascontiguousarray(rho, dtype=complex)
-    d = rho.shape[0] if rho.ndim == 2 else 0
-    if rho.shape != (d, d) or d < 2 or d & (d - 1):
-        raise ValueError(f"operator shape {rho.shape} is not 2^n x 2^n")
-    n = d.bit_length() - 1
-    _check_n(n)
+    n = _check_n(n_qubits_of(rho))
+    d = rho.shape[0]
     ones, ind, ind2, inv_binom = _popcount_classes(n)
     flat = rho.view(float)
     row_sums = (ind.T @ flat).view(complex)           # (n+1, d)
@@ -157,9 +157,12 @@ def is_symmetric_support(rho, tol=PSD_TOL):
     return bool(left < tol and right < tol)
 
 
-def symmetric_coords(rho):
+def symmetric_coords(rho, n=None):
     """V† rho V of an operator on the symmetric subspace; raises ValueError
-    when rho fails `is_symmetric_support(rho)`."""
+    when rho fails `is_symmetric_support(rho)` or, given n, is not
+    2^n x 2^n."""
+    if n is not None and np.shape(rho) != (2 ** n, 2 ** n):
+        raise ValueError(f"input shape {np.shape(rho)} does not match n={n}")
     left, right, coords = _support_pass(rho)
     if not (left < PSD_TOL and right < PSD_TOL):
         raise ValueError("input has weight outside the symmetric subspace")
@@ -167,9 +170,29 @@ def symmetric_coords(rho):
 
 
 def tensor_power_dicke(psi, n):
-    """Dicke coefficients of |psi>^⊗n: c_k = sqrt(C(n,k)) a^(n-k) b^k."""
-    a, b = complex(psi[0]), complex(psi[1])
-    return np.array([sqrt(comb(n, k)) * a ** (n - k) * b ** k for k in range(n + 1)])
+    """Dicke coefficients c_k = sqrt(C(n,k)) a^(n-k) b^k of |psi>^⊗n; a batch
+    psi (..., 2) gives (..., n+1), each row equal to its batch of one."""
+    psi = np.asarray(psi, dtype=complex)
+    ks = np.arange(n + 1)
+    binom = np.array([sqrt(comb(n, k)) for k in range(n + 1)])
+    return binom * psi[..., :1] ** (n - ks) * psi[..., 1:] ** ks
+
+
+def reduced_qubit_from_dicke(coords):
+    """Single-qubit reduction of a symmetric m-qubit state in Dicke coords;
+    leading axes are a batch, (..., m+1, m+1) -> (..., 2, 2)."""
+    coords = np.asarray(coords, dtype=complex)
+    m = coords.shape[-1] - 1
+    if m < 1:
+        raise ValueError("need at least one qubit")
+    ks = np.arange(m + 1)
+    diag = np.diagonal(coords, axis1=-2, axis2=-1)
+    p00 = np.sum(diag * (m - ks), axis=-1) / m
+    p11 = np.sum(diag * ks, axis=-1) / m
+    off = np.diagonal(coords, offset=1, axis1=-2, axis2=-1)  # coords[k, k+1]
+    p01 = np.sum(off * np.sqrt((ks[:-1] + 1) * (m - ks[:-1])), axis=-1) / m
+    return np.stack((np.stack((p00, p01), axis=-1),
+                     np.stack((np.conj(p01), p11), axis=-1)), axis=-2)
 
 
 @dataclass(frozen=True)
@@ -186,11 +209,8 @@ class PseudoMixture:
         return float(self.weights.min())
 
     def reconstruct_dicke(self):
-        out = np.zeros((self.n_qubits + 1,) * 2, dtype=complex)
-        for w, psi in zip(self.weights, self.states):
-            v = tensor_power_dicke(psi, self.n_qubits)
-            out += w * np.outer(v, v.conj())
-        return out
+        vecs = tensor_power_dicke(self.states, self.n_qubits)
+        return (self.weights * vecs.T) @ vecs.conj()
 
 
 def pseudo_mixture_decompose(rho_n, tol=PHYS_TOL):
@@ -199,10 +219,10 @@ def pseudo_mixture_decompose(rho_n, tol=PHYS_TOL):
     The residual is asserted below `tol` and the weight sum below 1e-10 of
     unity.
     """
-    return _decompose_coords(symmetric_coords(rho_n), tol)
+    return pseudo_mixture_decompose_dicke(symmetric_coords(rho_n), tol)
 
 
-def _decompose_coords(target, tol=PHYS_TOL):
+def pseudo_mixture_decompose_dicke(target, tol=PHYS_TOL):
     """`pseudo_mixture_decompose` on Dicke coordinates.
 
     The frame is P_i = |phi_i><phi_i|^⊗n at the nodes phi_i, weights q_i of
@@ -232,20 +252,20 @@ def _decompose_coords(target, tol=PHYS_TOL):
     return PseudoMixture(n_qubits=n, weights=weights, states=states, residual=residual)
 
 
-def random_symmetric_density(n, rng, min_bloch=0.0, max_tries=1000):
-    """Random full-rank density operator supported on the symmetric subspace.
-
-    Ginibre construction in Dicke coordinates; optionally resamples until
-    the single-qubit reduction's Bloch length reaches `min_bloch`.
-    """
+def random_symmetric_dicke(n, rng, min_bloch=0.0):
+    """Dicke coordinates of a random full-rank density operator supported on
+    the symmetric subspace (Ginibre construction); optionally resamples
+    until the single-qubit reduction's Bloch length reaches `min_bloch`."""
     _check_n(n)
-    for _ in range(max_tries):
+    for _ in range(1000):
         g = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))
         coords = g @ g.conj().T
         coords /= coords.trace()
-        rho = embed_dicke(coords)
-        if min_bloch <= 0:
-            return rho
-        if np.linalg.norm(bloch_of(partial_trace(rho, {0}, n))) >= min_bloch:
-            return rho
-    raise RuntimeError(f"no sample with Bloch length >= {min_bloch} in {max_tries} tries")
+        if min_bloch <= 0 or np.linalg.norm(bloch_of(reduced_qubit_from_dicke(coords))) >= min_bloch:
+            return coords
+    raise RuntimeError(f"no sample with Bloch length >= {min_bloch} in 1000 tries")
+
+
+def random_symmetric_density(n, rng, min_bloch=0.0):
+    """`random_symmetric_dicke` embedded in the full 2^n space."""
+    return embed_dicke(random_symmetric_dicke(n, rng, min_bloch))

@@ -1,8 +1,9 @@
 import json
+import tracemalloc
 
 import pytest
 
-from qclone.cli import main
+from qclone.cli import main, run_concat
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +83,17 @@ class TestConcatCommand:
         assert report["results"]["eta_exact"] == "1/2"
         assert abs(report["results"]["eta_chain"] - 0.5) < 1e-9
 
+    def test_memory_is_bounded(self):
+        # Dicke coordinates only; one 2^12 x 2^12 operator alone is 268 MB
+        tracemalloc.start()
+        try:
+            _, checks = run_concat(1, 3, 12, 5, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(c["pass"] for c in checks)
+        assert peak < 4e6
+
 
 class TestVerifyAll:
     def test_deterministic_reports(self, tmp_path, capsys):
@@ -125,6 +137,9 @@ CLONE = ["clone", "--n", "1", "--m", "2", "--samples", "2"]
     (["clone", "--n", "61", "--m", "61", "--samples", "2"], 2),
     (["clone", "--n", "2000", "--m", "2000", "--samples", "2"], 2),
     (["clone", "--n", "6", "--m", "60", "--samples", "5000"], 0),
+    (["concat", "--n", "1", "--m", "13", "--l", "20"], 0),
+    (["concat", "--n", "6", "--m", "30", "--l", "60"], 0),
+    (["concat", "--n", "1", "--m", "2", "--l", "61"], 2),
 ])
 def test_argument_contract(capsys, argv, code):
     try:

@@ -9,12 +9,12 @@ from qclone.cloner import (
     CloneChannel,
     _chunk_size,
     _dicke_table,
-    _measure_batch,
     apply_cloner,
     apply_cloner_dicke,
     certify_universality,
     concat_channels,
     measure_shrinking,
+    measure_shrinking_dicke,
     reduced_qubit_from_dicke,
     tensor_power_input,
 )
@@ -245,11 +245,11 @@ class TestMeasureShrinking:
         good = symmetric_coords(tensor_power_input(PLUS, 2))
         mixed = np.eye(3, dtype=complex) / 3
         with pytest.raises(DegenerateInputError):
-            _measure_batch(ch, np.stack([good, mixed, good]))
+            measure_shrinking_dicke(ch, np.stack([good, mixed, good]))
         skew = good.copy()
         skew[1, 1] += 1e-6j
         with pytest.raises(ValueError):
-            _measure_batch(ch, np.stack([good, good, skew]))
+            measure_shrinking_dicke(ch, np.stack([good, good, skew]))
 
     @pytest.mark.parametrize("n,m", [(1, 3), (2, 4), (2, 6), (3, 7)])
     def test_mixed_symmetric_inputs_shrink_linearly(self, n, m):

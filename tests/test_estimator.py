@@ -173,7 +173,7 @@ class TestStatementB:
         rep = verify_statement_b(2, 2)
         assert abs(rep.composed_fidelity - 3 / 4) < 1e-8
 
-    @pytest.mark.parametrize("l", [2, 4, 6, 8])
+    @pytest.mark.parametrize("l", [2, 4, 6, 8, 11, 30, 60])
     def test_telescoping_l_independence(self, l):
         rep = verify_statement_b(1, l, haar_random_pure(rng_from_seed(l)))
         assert abs(rep.composed_fidelity - 2 / 3) < 1e-8
@@ -182,7 +182,12 @@ class TestStatementB:
         with pytest.raises(ValueError):
             verify_statement_b(3, 2)
         with pytest.raises(ValueError):
-            verify_statement_b(1, 11)
+            verify_statement_b(1, 61)
+
+    def test_sixty_to_sixty(self):
+        rep = verify_statement_b(60, 60, haar_random_pure(rng_from_seed(60)))
+        assert abs(rep.composed_fidelity - 61 / 62) < 1e-8
+        assert abs(rep.composed_fidelity - rep.predicted_fidelity) < 1e-8
 
 
 def test_composition_matches_manual_pipeline():

@@ -1,6 +1,6 @@
 import itertools
 import tracemalloc
-from math import factorial
+from math import comb, factorial, sqrt
 
 import numpy as np
 import pytest
@@ -8,14 +8,15 @@ import pytest
 from qclone import symspace
 from qclone.linalg import haar_random_pure, kron_power, rng_from_seed
 from qclone.symspace import (
-    _decompose_coords,
     _support_pass,
     dicke_basis,
     embed_dicke,
     is_symmetric_support,
     project_dicke,
     pseudo_mixture_decompose,
+    pseudo_mixture_decompose_dicke,
     random_symmetric_density,
+    random_symmetric_dicke,
     symmetric_coords,
     symmetric_residual,
     symmetrizer,
@@ -30,6 +31,12 @@ def ginibre_coords(rng, n):
     g = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))
     coords = g @ g.conj().T
     return coords / coords.trace()
+
+
+def scalar_tensor_power_dicke(psi, n):
+    """Reference Dicke coefficients of |psi>^⊗n from Python complex scalars."""
+    a, b = complex(psi[0]), complex(psi[1])
+    return np.array([sqrt(comb(n, k)) * a ** (n - k) * b ** k for k in range(n + 1)])
 
 
 def generic_density(rng, n):
@@ -202,7 +209,7 @@ class TestSupportPass:
     @pytest.mark.parametrize("shape", [(4, 8), (3, 3), (6, 6), (1, 1), (4,), (2, 2, 2), ()])
     def test_rejects_bad_shapes(self, shape):
         op = np.zeros(shape, dtype=complex)
-        for check in (_support_pass, is_symmetric_support, symmetric_coords):
+        for check in (_support_pass, is_symmetric_support, symmetric_coords, symmetric_residual):
             with pytest.raises(ValueError):
                 check(op)
 
@@ -237,6 +244,17 @@ class TestDickeEmbedding:
         full = kron_power(psi.reshape(2, 1), 3).ravel()
         coords = tensor_power_dicke(psi, 3)
         assert np.max(np.abs(dicke_basis(3) @ coords - full)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 14, 60])
+    def test_tensor_power_dicke_batch(self, n):
+        rng = rng_from_seed(1200 + n)
+        psis = np.array([haar_random_pure(rng) for _ in range(50)])
+        batch = tensor_power_dicke(psis, n)
+        assert batch.shape == (50, n + 1)
+        assert np.array_equal(tensor_power_dicke(psis.reshape(5, 10, 2), n).reshape(50, -1), batch)
+        for psi, row in zip(psis, batch):
+            assert np.array_equal(row, tensor_power_dicke(psi, n))
+            assert np.max(np.abs(row - scalar_tensor_power_dicke(psi, n))) <= 2e-16
 
 
 class TestPseudoMixture:
@@ -290,7 +308,7 @@ class TestPseudoMixture:
     def test_coordinate_core_sweep(self, n):
         rng = rng_from_seed(900 + n)
         for _ in range(20):
-            pm = _decompose_coords(ginibre_coords(rng, n))
+            pm = pseudo_mixture_decompose_dicke(ginibre_coords(rng, n))
             assert pm.residual < 1e-9
             assert abs(pm.weights.sum() - 1) <= 1e-10
 
@@ -299,3 +317,13 @@ def test_random_symmetric_density_min_bloch():
     from qclone.linalg import bloch_of, partial_trace
     rho = random_symmetric_density(3, rng_from_seed(77), min_bloch=0.1)
     assert np.linalg.norm(bloch_of(partial_trace(rho, {0}, 3))) >= 0.1
+
+
+@pytest.mark.parametrize("n,min_bloch", [(1, 0.0), (2, 0.1), (3, 0.1), (4, 0.3), (8, 0.0)])
+def test_random_symmetric_density_embeds_dicke_draw(n, min_bloch):
+    # the same Ginibre draws, the same acceptances and the same stream after
+    for seed in (1, 2, 3):
+        rng_full, rng_dicke = rng_from_seed(seed), rng_from_seed(seed)
+        rho = random_symmetric_density(n, rng_full, min_bloch)
+        assert np.array_equal(rho, embed_dicke(random_symmetric_dicke(n, rng_dicke, min_bloch)))
+        assert rng_full.random() == rng_dicke.random()
