@@ -177,21 +177,20 @@ def run_concat(n, m, l, seed, tol):
 
 
 def _ledger_grid_checks():
-    """Exact ledger grid: all chains up to 50, plus monotonicity, over the
-    values eta_opt(n, m) for 1 <= n <= m <= 51, each computed once."""
-    eta = {(n, m): bd.eta_opt(n, m) for n in range(1, 52) for m in range(n, 52)}
-    bad = 0
-    total = 0
+    """Exact ledger grid: all chains up to 50, plus monotonicity, over the values
+    eta_opt(n, m) = p/q, 1 <= n <= m <= 51, compared by integer cross-multiplication."""
+    eta = {(n, m): bd.eta_opt(n, m).as_integer_ratio() for n in range(1, 52) for m in range(n, 52)}
+    bad = total = 0
     for n in range(1, 51):
         for m in range(n, 51):
+            p1, q1 = eta[n, m]
             for l in range(m, 51):
                 total += 1
-                if eta[n, m] * eta[m, l] != eta[n, l]:
-                    bad += 1
-    mono = all(eta[n, m] > eta[n, m + 1]
-               for n in range(1, 51) for m in range(n, 51)) and \
-           all(eta[n, m] < eta[n + 1, m]
-               for m in range(2, 51) for n in range(1, min(m, 50)))
+                (p2, q2), (p3, q3) = eta[m, l], eta[n, l]
+                bad += p1 * p2 * q3 != p3 * q1 * q2
+    steps = [(eta[n, m + 1], eta[n, m]) for n in range(1, 51) for m in range(n, 51)] + \
+            [(eta[n, m], eta[n + 1, m]) for m in range(2, 51) for n in range(1, min(m, 50))]
+    mono = all(p1 * q2 < p2 * q1 for (p1, q1), (p2, q2) in steps)   # each step increases
     return [_flag(f"ledger-chain-identity-grid-50 ({total} triples)", bad == 0),
             _flag("ledger-monotonicity-grid-50", mono)]
 
@@ -350,6 +349,13 @@ def _samples(text):
     return value
 
 
+def _shots(text):
+    value = int(text)
+    if value < 0 or value == 1:
+        raise argparse.ArgumentTypeError(f"shots must be 0 (skip) or at least 2, got {text}")
+    return value
+
+
 def _tolerance(text):
     value = float(text)
     if not (math.isfinite(value) and value > 0):
@@ -386,7 +392,7 @@ def build_parser():
 
     p = sub.add_parser("estimate", help="estimation on m copies, exact + MC")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--shots", type=int, default=10000, help="Monte Carlo shots (0 = skip)")
+    p.add_argument("--shots", type=_shots, default=10000, help="MC shots: 0 (skip) or >= 2")
     common(p, "json")
 
     p = sub.add_parser("concat", help="chain multiplicativity for (n, m, l)")

@@ -22,10 +22,11 @@ extremes: memory does not grow with the sample count. `measure_shrinking`
 is the batch of one; it takes a full-space operator and gets its support
 check and coordinates from one pass (`symmetric_coords`). The full 2^M-space
 path (M ≤ 12) is only the independent oracle behind the symmetric-support
-residual, the CLI sanity checks and the full-space adapters. It does not
-form the dense symmetrizer: with V the Dicke isometry, it contracts rho
-against V to get V†(rho ⊗ 1)V and returns (N+1)/(M+1) V (...) V†. The two
-paths agree within 1e-10 where both apply.
+residual, the CLI sanity checks and the full-space adapters. With V the
+Dicke isometry, it contracts rho against V to T = (N+1)/(M+1) V†(rho ⊗ 1)V;
+V T V† is constant on popcount-class blocks, so the residual reads the
+(M+1)x(M+1) class table of `_apply_full` and only `apply_cloner` gathers the
+2^M x 2^M output. The two paths agree within 1e-10 where both apply.
 """
 
 from __future__ import annotations
@@ -45,11 +46,11 @@ from .linalg import (
 )
 from .symspace import (
     BLOCK_ENTRIES,
+    _popcount_classes,
     dicke_basis,
     embed_dicke,
     reduced_qubit_from_dicke,
     symmetric_coords,
-    symmetric_residual,
     tensor_power_dicke,
 )
 
@@ -89,29 +90,33 @@ class CloneReport:
 
 
 def apply_cloner(ch, rho_n):
-    """Full-space channel application; returns the 2^M-dim output operator."""
+    """Full-space channel application: the 2^M-dim output, gathered from its class table."""
     rho_n = np.asarray(rho_n, dtype=complex)
     symmetric_coords(rho_n, ch.n_in)  # shape and support check
-    return _apply_full(ch, rho_n)
+    table, ones = _apply_full(ch, rho_n), _popcount_classes(ch.m_out)[0]
+    return rho_n.copy() if ch.m_out == ch.n_in else table[ones[:, None], ones]
 
 
 def _apply_full(ch, rho_n):
-    """`apply_cloner` on an input `symmetric_coords` has already accepted."""
+    """Output class table T̃[k, l] = hermitize((c_k T[k, l]) c_l) of an accepted input. Row
+    i of V has one nonzero, c_k = C(M,k)^(-1/2) at k = popcount i, so (V T V†)[i, j] is that
+    one product: the dense output is T̃[popcount i, popcount j], bit for bit, of trace
+    Σ_k C(M,k) T̃[k, k]."""
     n, m = ch.n_in, ch.m_out
     if m > FULL_SPACE_MAX:
         raise ValueError(f"full-space path limited to m_out <= {FULL_SPACE_MAX}; "
                          "use apply_cloner_dicke")
-    if m == n:
-        return rho_n.copy()
     # Row index of V is (input qubits, blank qubits), so V†(rho ⊗ 1)V
     # contracts rho against V split as (2^N, 2^(M-N), M+1).
     v = dicke_basis(m)
     coords = v.conj().T @ (rho_n @ v.reshape(2 ** n, -1)).reshape(2 ** m, m + 1)
-    out = hermitize(v @ ((n + 1) / (m + 1) * coords) @ v.conj().T)
-    tr = out.trace().real
+    binom = np.array([comb(m, k) for k in range(m + 1)], dtype=float)
+    c = 1 / np.sqrt(binom)
+    table = hermitize(c[:, None] * ((n + 1) / (m + 1) * coords) * c)
+    tr = (binom @ table.diagonal()).real
     if abs(tr - 1) > 1e-10:
         raise RuntimeError(f"channel output trace {tr}, expected 1")
-    return out
+    return table
 
 
 def _check_dicke(ch):
@@ -231,11 +236,13 @@ def _direction_state(s):
 
 
 def _symmetric_residual(ch, coords):
-    """Largest max |out - V V† out| over the full-space outputs of the
-    embedded inputs of a batch, the part outside the symmetric subspace."""
+    """Largest max |out - V V† out| (weight outside the symmetric subspace) over the outputs
+    of a batch's embedded inputs, on class tables: a class mean is (C(M,k) T̃[k, l]) / C(M,k)."""
     if ch.m_out > FULL_SPACE_MAX:
         return 0.0  # dicke path output is symmetric by construction
-    return max(symmetric_residual(_apply_full(ch, embed_dicke(c))) for c in coords)
+    binom = np.array([comb(ch.m_out, k) for k in range(ch.m_out + 1)], float)[:, None]
+    return max(float(np.max(np.abs(t - binom * t / binom)))
+               for t in (_apply_full(ch, embed_dicke(c)) for c in coords))
 
 
 def _chunk_size(ch):

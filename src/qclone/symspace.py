@@ -174,6 +174,8 @@ def tensor_power_dicke(psi, n):
     psi (..., 2) gives (..., n+1), each row equal to its batch of one."""
     psi = np.asarray(psi, dtype=complex)
     ks = np.arange(n + 1)
+    if comb(n, n // 2) > float(np.finfo(float).max):
+        raise ValueError(f"tensor power n={n} too large: C(n, n/2) overflows a float")
     binom = np.array([sqrt(comb(n, k)) for k in range(n + 1)])
     return binom * psi[..., :1] ** (n - ks) * psi[..., 1:] ** ks
 

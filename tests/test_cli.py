@@ -140,6 +140,11 @@ CLONE = ["clone", "--n", "1", "--m", "2", "--samples", "2"]
     (["concat", "--n", "1", "--m", "13", "--l", "20"], 0),
     (["concat", "--n", "6", "--m", "30", "--l", "60"], 0),
     (["concat", "--n", "1", "--m", "2", "--l", "61"], 2),
+    (["clone", "--n", "3", "--m", "12", "--samples", "50"], 0),
+    (["estimate", "--m", "2", "--shots", "1"], 2),
+    (["estimate", "--m", "2", "--shots", "-5"], 2),
+    (["estimate", "--m", "2", "--shots", "0"], 0),
+    (["estimate", "--m", "2", "--shots", "2"], 0),
 ])
 def test_argument_contract(capsys, argv, code):
     try:

@@ -9,6 +9,7 @@ from qclone.cloner import (
     CloneChannel,
     _chunk_size,
     _dicke_table,
+    _symmetric_residual,
     apply_cloner,
     apply_cloner_dicke,
     certify_universality,
@@ -30,6 +31,7 @@ from qclone.linalg import (
     state_from_bloch,
 )
 from qclone.symspace import (
+    dicke_basis,
     embed_dicke,
     project_dicke,
     random_symmetric_density,
@@ -47,6 +49,24 @@ def dense_cloner(n, m, rho_n):
     """Reference channel (N+1)/(M+1) S_M (rho ⊗ 1) S_M with the dense symmetrizer."""
     s = symmetrizer(m)
     return (n + 1) / (m + 1) * (s @ np.kron(rho_n, np.eye(2 ** (m - n))) @ s)
+
+
+def dense_apply_full(ch, rho_n):
+    """Reference full-space output V·T·V† as two dense products, then
+    hermitize: the 2^M x 2^M route that the class table replaces."""
+    n, m = ch.n_in, ch.m_out
+    if m == n:
+        return rho_n.copy()
+    v = dicke_basis(m)
+    coords = v.conj().T @ (rho_n @ v.reshape(2 ** n, -1)).reshape(2 ** m, m + 1)
+    out = hermitize(v @ ((n + 1) / (m + 1) * coords) @ v.conj().T)
+    assert abs(out.trace().real - 1) <= 1e-10
+    return out
+
+
+def pure_and_mixed_inputs(rng, n):
+    """One Haar tensor-power input and one random mixed symmetric input."""
+    return (tensor_power_input(haar_random_pure(rng), n), random_symmetric_density(n, rng))
 
 
 def loop_dicke_cloner(n, m, coords_n):
@@ -125,6 +145,28 @@ class TestApplyCloner:
                       random_symmetric_density(n, rng)):
             out = apply_cloner(CloneChannel(n, m), rho_n)
             assert np.max(np.abs(out - dense_cloner(n, m, rho_n))) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_gather_equals_dense_route(self, n):
+        # the class-table gather is the two-product output bit for bit
+        rng = rng_from_seed(720 + n)
+        for m in range(n, 11):
+            ch = CloneChannel(n, m)
+            for rho_n in pure_and_mixed_inputs(rng, n):
+                assert np.array_equal(apply_cloner(ch, rho_n), dense_apply_full(ch, rho_n))
+
+    def test_table_residual_matches_dense_residual(self):
+        # per sample; the largest difference measured here is 1.0e-17
+        worst = 0.0
+        for n in range(1, 5):
+            rng = rng_from_seed(740 + n)
+            for m in range(n, 11):
+                ch = CloneChannel(n, m)
+                for rho_n in pure_and_mixed_inputs(rng, n):
+                    coords = symmetric_coords(rho_n)
+                    dense = symmetric_residual(dense_apply_full(ch, embed_dicke(coords)))
+                    worst = max(worst, abs(_symmetric_residual(ch, coords[None]) - dense))
+        assert worst <= 1e-15
 
     def test_rejects_non_symmetric_input(self):
         singlet = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -284,7 +326,7 @@ class TestUniversality:
         b = certify_universality(CloneChannel(1, 3), 20, seed=9)
         assert a == b
 
-    # M = 12 measures a 4096-dim full-space residual per sample: 2 samples there.
+    # M = 12 reads its per-sample residual from a 13x13 class table; (4, 12) keeps 2 samples.
     @pytest.mark.parametrize("n,m,samples", [(1, 2, 20), (2, 8, 20), (4, 12, 2),
                                              (3, 16, 20), (6, 40, 20)])
     def test_matches_full_space_route(self, n, m, samples):
@@ -315,6 +357,17 @@ class TestUniversality:
         assert abs(rep.universality_spread - spread) <= 1e-14
         assert abs(rep.output_symmetric_residual - residual) <= 1e-14
 
+    def test_full_space_residual_memory_at_m12(self):
+        # the per-sample residual never forms the 4096 x 4096 output (268 MB)
+        tracemalloc.start()
+        try:
+            rep = certify_universality(CloneChannel(3, 12), 50, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert rep.output_symmetric_residual < 1e-11
+
     def test_memory_does_not_grow_with_samples(self):
         ch = CloneChannel(6, 60)
         certify_universality(ch, 2, seed=3)   # fill the table cache outside the measurement
@@ -327,6 +380,13 @@ class TestUniversality:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] * 1.01
+
+
+class TestTensorPowerInput:
+    @pytest.mark.parametrize("n", [1030, 1100])
+    def test_rejects_float_overflow(self, n):
+        with pytest.raises(ValueError, match=f"n={n}"):
+            tensor_power_input(KET0, n)
 
 
 class TestConcatenation:

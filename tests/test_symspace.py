@@ -256,6 +256,17 @@ class TestDickeEmbedding:
             assert np.array_equal(row, tensor_power_dicke(psi, n))
             assert np.max(np.abs(row - scalar_tensor_power_dicke(psi, n))) <= 2e-16
 
+    @pytest.mark.parametrize("n", [1030, 1100])
+    def test_tensor_power_dicke_rejects_float_overflow(self, n):
+        # C(n, n/2) exceeds the largest float from n = 1030 on
+        with pytest.raises(ValueError, match=f"n={n}"):
+            tensor_power_dicke([1, 0], n)
+
+    def test_tensor_power_dicke_largest_accepted_n(self):
+        c = tensor_power_dicke([0.6, 0.8], 1029)
+        assert np.all(np.isfinite(c))
+        assert abs(np.linalg.norm(c) - 1) < 1e-12
+
 
 class TestPseudoMixture:
     def test_n1_maximally_mixed(self):
