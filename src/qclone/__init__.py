@@ -27,7 +27,6 @@ from .cloner import (
     apply_cloner,
     apply_cloner_dicke,
     certify_universality,
-    concat_channels,
     measure_shrinking,
     tensor_power_input,
 )
@@ -53,8 +52,7 @@ __all__ = [
     "project_dicke", "pseudo_mixture_decompose", "random_symmetric_density",
     "symmetrizer",
     "CloneChannel", "CloneReport", "apply_cloner", "apply_cloner_dicke",
-    "certify_universality", "concat_channels", "measure_shrinking",
-    "tensor_power_input",
+    "certify_universality", "measure_shrinking", "tensor_power_input",
     "EstimationReport", "estimate_monte_carlo", "estimation_fidelity_exact",
     "measure_and_prepare_channel", "verify_statement_b",
     "check_identities", "eta_meas_opt", "eta_opt",

@@ -75,7 +75,8 @@ def check_identities(n, m, l):
       - measurement-as-limit: eta_opt(n,m)*eta_meas_opt(m) == eta_meas_opt(n)
       - fidelity relation: fidelity_opt == (1+eta_opt)/2
       - finite-m gap: eta_opt(m,L) - eta_meas_opt(m) == 2m/(L(m+2)) > 0,
-        evaluated at L = 10^3 and 10^6 (positive sign, 1/L decay).
+        evaluated at L = 10^3 c and 10^6 c with c = ceil(m / 10^3), so L >= m
+        for every m and L = 10^3, 10^6 for m <= 1000 (positive sign, 1/L decay).
     """
     if not 1 <= n <= m <= l:
         raise ValueError(f"need 1 <= n <= m <= l, got ({n}, {m}, {l})")
@@ -90,7 +91,8 @@ def check_identities(n, m, l):
     fid_slack = fidelity_opt(n, m) - (1 + eta_opt(n, m)) / 2
     checks.append(("fidelity-from-eta", fid_slack == 0, fid_slack))
 
-    for big_l in (10 ** 3, 10 ** 6):
+    scale = -(-m // 10 ** 3)  # ceil(m / 10^3)
+    for big_l in (10 ** 3 * scale, 10 ** 6 * scale):
         gap = eta_opt(m, big_l) - eta_meas_opt(m)
         expected = Fraction(2 * m, big_l * (m + 2))
         holds = gap == expected and gap > 0

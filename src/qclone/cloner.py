@@ -275,14 +275,6 @@ def certify_universality(ch, n_samples, seed):
                          for i in range(0, n_samples, chunk)))
 
 
-def concat_channels(first, second, rho_n):
-    """Apply first (N→M) then second (M→L); full-space path."""
-    if first.m_out != second.n_in:
-        raise ValueError(
-            f"cannot chain {first.n_in}->{first.m_out} with {second.n_in}->{second.m_out}")
-    return apply_cloner(second, apply_cloner(first, rho_n))
-
-
 def tensor_power_input(psi, n):
     """|psi><psi|^⊗n as a full-space operator, built through Dicke coords."""
     v = tensor_power_dicke(psi, n)

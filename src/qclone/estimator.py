@@ -7,8 +7,12 @@ The measurement is the continuous covariant family over pure states,
 complete on the symmetric subspace. Averages over the Bloch sphere are
 trigonometric polynomials of known degree, so a Gauss-Legendre grid in
 cos(theta) times a uniform grid in azimuth integrates them exactly; no
-sampling error enters the exact path. The Monte Carlo path draws outcome
-candidates by rejection against Haar proposals instead.
+sampling error enters the exact path. The Monte Carlo path draws outcomes
+exactly instead: under the Haar measure the overlap u = |<phi|psi>|^2 is
+uniform on [0, 1] and the azimuth of phi about psi is uniform and
+independent of it, so the outcome density (M+1) u^M is sampled by inverting
+its distribution function, with no rejection. Both paths accept
+1 <= M <= MAX_COPIES.
 
 Estimating on M copies and preparing the candidate realizes cloning to
 arbitrarily many copies; its single-qubit output is exactly the
@@ -25,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import (
-    haar_random_pure_batch,
+    PHYS_TOL,
     hermitize,
     pure_fidelity,
     rng_from_seed,
@@ -33,8 +37,7 @@ from .linalg import (
 from .symspace import symmetric_coords, tensor_power_dicke
 from .cloner import CloneChannel, _check_dicke, apply_cloner_dicke
 
-EXACT_MAX_COPIES = 20
-MC_MAX_COPIES = 12
+MAX_COPIES = 20
 
 
 @dataclass(frozen=True)
@@ -108,8 +111,8 @@ def povm_completeness_residual(m):
 
 def estimation_fidelity_exact(m, psi):
     """Exact-quadrature estimation fidelity for M copies of the pure state psi."""
-    if not 1 <= m <= EXACT_MAX_COPIES:
-        raise ValueError(f"m must be in 1..{EXACT_MAX_COPIES}, got {m}")
+    if not 1 <= m <= MAX_COPIES:
+        raise ValueError(f"m must be in 1..{MAX_COPIES}, got {m}")
     psi = np.asarray(psi, dtype=complex)
     states, weights = sphere_quadrature(m)
     overlap2 = np.abs(states @ psi.conj()) ** 2
@@ -134,33 +137,28 @@ def estimation_fidelity_exact(m, psi):
 
 
 def sample_candidates(m, psi, n_shots, rng):
-    """Draw outcome candidates from p(phi|psi) ∝ |<phi|psi>|^(2M).
+    """Draw n_shots outcomes phi of the covariant measurement on |psi>^⊗M.
 
-    Rejection against Haar proposals with envelope constant M+1; acceptance
-    probability is exactly |<phi|psi>|^(2M).
+    The outcome density against the Haar measure is (M+1) u^M, with
+    u = |<phi|psi>|^2. Under Haar, u is uniform on [0, 1] and the azimuth chi
+    of phi about psi is uniform and independent of u, so u = U^(1/(M+1)) for
+    uniform U is an exact draw, and
+    phi = sqrt(u) psi + sqrt(1-u) e^(i chi) psi_perp, psi_perp = (-psi1*, psi0*).
     """
     psi = np.asarray(psi, dtype=complex)
-    out = np.empty((n_shots, 2), dtype=complex)
-    filled = 0
-    batch = max(1024, 2 * (m + 1) * min(n_shots, 1 << 16))
-    guard = 0
-    while filled < n_shots:
-        guard += 1
-        if guard > 10000:
-            raise RuntimeError("rejection sampler failed to accept; invalid input?")
-        props = haar_random_pure_batch(rng, batch)
-        accept_p = np.abs(props @ psi.conj()) ** (2 * m)
-        accepted = props[rng.random(batch) < accept_p]
-        take = min(len(accepted), n_shots - filled)
-        out[filled:filled + take] = accepted[:take]
-        filled += take
-    return out
+    if psi.shape != (2,) or abs(np.linalg.norm(psi) - 1) > PHYS_TOL:
+        raise ValueError(f"psi must be a unit 2-vector, got {psi}")
+    x = rng.random((n_shots, 2))
+    u = x[:, 0] ** (1 / (m + 1))
+    perp = np.array([-psi[1].conj(), psi[0].conj()])
+    return (np.sqrt(u)[:, None] * psi
+            + (np.sqrt(1 - u) * np.exp(2j * np.pi * x[:, 1]))[:, None] * perp)
 
 
 def estimate_monte_carlo(m, psi, n_shots, seed):
     """Simulated measurement: n_shots candidate draws, empirical fidelity."""
-    if not 1 <= m <= MC_MAX_COPIES:
-        raise ValueError(f"m must be in 1..{MC_MAX_COPIES}, got {m}")
+    if not 1 <= m <= MAX_COPIES:
+        raise ValueError(f"m must be in 1..{MAX_COPIES}, got {m}")
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
     psi = np.asarray(psi, dtype=complex)

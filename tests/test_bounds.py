@@ -99,6 +99,16 @@ class TestCheckIdentities:
         with pytest.raises(ValueError):
             check_identities(2, 1, 3)
 
+    @pytest.mark.parametrize("m,gaps", [(1, (10 ** 3, 10 ** 6)), (1000, (10 ** 3, 10 ** 6)),
+                                        (1001, (2000, 2 * 10 ** 6)),
+                                        (10 ** 7, (10 ** 7, 10 ** 10))])
+    def test_finite_gap_scales_with_m(self, m, gaps):
+        # the gap is taken at L = 10^3 ceil(m/10^3) and 10^6 ceil(m/10^3), never below m
+        rep = check_identities(1, m, m)
+        assert rep.all_hold
+        names = [name for name, _, _ in rep.inequality_checks if name.startswith("finite")]
+        assert names == [f"finite-clone-gap-L={big_l}" for big_l in gaps]
+
     def test_exhaustive_chain_grid_50(self):
         for n in range(1, 51):
             for m in range(n, 51):

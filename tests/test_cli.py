@@ -145,6 +145,10 @@ CLONE = ["clone", "--n", "1", "--m", "2", "--samples", "2"]
     (["estimate", "--m", "2", "--shots", "-5"], 2),
     (["estimate", "--m", "2", "--shots", "0"], 0),
     (["estimate", "--m", "2", "--shots", "2"], 0),
+    (["estimate", "--m", "13"], 0),
+    (["estimate", "--m", "20", "--shots", "10000"], 0),
+    (["estimate", "--m", "21"], 2),
+    (["bounds", "--n", "1", "--m", "1001"], 0),
 ])
 def test_argument_contract(capsys, argv, code):
     try:

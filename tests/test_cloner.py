@@ -7,13 +7,13 @@ import pytest
 from qclone.bounds import eta_opt
 from qclone.cloner import (
     CloneChannel,
+    _apply_full,
     _chunk_size,
     _dicke_table,
     _symmetric_residual,
     apply_cloner,
     apply_cloner_dicke,
     certify_universality,
-    concat_channels,
     measure_shrinking,
     measure_shrinking_dicke,
     reduced_qubit_from_dicke,
@@ -195,12 +195,17 @@ class TestApplyCloner:
 class TestDickePath:
     @pytest.mark.parametrize("n,m", [(1, 2), (1, 5), (2, 4), (3, 8), (4, 12)])
     def test_agrees_with_full_space(self, n, m):
+        # every entry of the full-space output is one entry of its class table
+        # T̃ (`test_gather_equals_dense_route`), and V has c_k = C(M,k)^(-1/2)
+        # in row class k: embed(fast) - full reads c_k fast c_l - T̃, and
+        # project(full) - fast reads sqrt(C(M,k) C(M,l)) T̃ - fast
         rng = rng_from_seed(n + 100 * m)
         rho_n = random_symmetric_density(n, rng)
-        full = apply_cloner(CloneChannel(n, m), rho_n)
+        table = _apply_full(CloneChannel(n, m), rho_n)
         fast = apply_cloner_dicke(CloneChannel(n, m), project_dicke(rho_n, n))
-        assert np.max(np.abs(project_dicke(full, m) - fast)) < 1e-10
-        assert np.max(np.abs(embed_dicke(fast) - full)) < 1e-10
+        c = 1 / np.sqrt([comb(m, k) for k in range(m + 1)])
+        assert np.max(np.abs(c[:, None] * fast * c - table)) < 1e-10
+        assert np.max(np.abs(table / (c[:, None] * c) - fast)) < 1e-10
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_loop_oracle(self, n):
@@ -392,7 +397,7 @@ class TestTensorPowerInput:
 class TestConcatenation:
     def test_1_2_4_equals_direct(self):
         rho = np.outer(KET0, KET0)
-        out_chain = concat_channels(CloneChannel(1, 2), CloneChannel(2, 4), rho)
+        out_chain = apply_cloner(CloneChannel(2, 4), apply_cloner(CloneChannel(1, 2), rho))
         out_direct = apply_cloner(CloneChannel(1, 4), rho)
         z_chain = bloch_of(partial_trace(out_chain, {0}, 4))[2]
         z_direct = bloch_of(partial_trace(out_direct, {0}, 4))[2]
@@ -401,13 +406,13 @@ class TestConcatenation:
 
     def test_identity_chain(self):
         rho = tensor_power_input(PLUS, 2)
-        out = concat_channels(CloneChannel(2, 2), CloneChannel(2, 2), rho)
+        out = apply_cloner(CloneChannel(2, 2), apply_cloner(CloneChannel(2, 2), rho))
         assert np.max(np.abs(out - rho)) < 1e-12
 
     def test_1_3_5_both_paths(self):
         psi = haar_random_pure(rng_from_seed(14))
         rho = np.outer(psi, psi.conj())
-        chained = concat_channels(CloneChannel(1, 3), CloneChannel(3, 5), rho)
+        chained = apply_cloner(CloneChannel(3, 5), apply_cloner(CloneChannel(1, 3), rho))
         direct = apply_cloner(CloneChannel(1, 5), rho)
         s_c = bloch_of(partial_trace(chained, {0}, 5))
         s_d = bloch_of(partial_trace(direct, {0}, 5))
@@ -416,8 +421,8 @@ class TestConcatenation:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            concat_channels(CloneChannel(1, 2), CloneChannel(3, 4),
-                            np.outer(KET0, KET0))
+            apply_cloner(CloneChannel(3, 4),
+                         apply_cloner(CloneChannel(1, 2), np.outer(KET0, KET0)))
 
     @pytest.mark.parametrize("n,m,l", [(1, 2, 3), (1, 3, 6), (2, 3, 5), (2, 4, 7)])
     def test_stagewise_product(self, n, m, l):

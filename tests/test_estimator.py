@@ -108,7 +108,7 @@ class TestMonteCarlo:
         assert a.fidelity_measured == b.fidelity_measured
 
     def test_candidate_density(self):
-        # acceptance for aligned candidates beats Haar: mean overlap = F(M)
+        # outcomes concentrate about the input: mean overlap = F(M)
         m = 6
         cands = sample_candidates(m, KET0, 20_000, rng_from_seed(31))
         mean_overlap = np.mean(np.abs(cands @ KET0.conj()) ** 2)
@@ -124,6 +124,73 @@ class TestMonteCarlo:
             if abs(rep.fidelity_measured - exact) >= 4 * rep.statistical_error:
                 misses += 1
         assert misses == 0
+
+    @pytest.mark.parametrize("m", range(13, 21))
+    def test_band_above_twelve_copies(self, m):
+        rep = estimate_monte_carlo(m, haar_random_pure(rng_from_seed(m)), 100_000, seed=m)
+        assert abs(rep.fidelity_measured - (m + 1) / (m + 2)) < 4 * rep.statistical_error
+
+    def test_range_check(self):
+        for m in (0, 21):
+            with pytest.raises(ValueError):
+                estimate_monte_carlo(m, KET0, 100, seed=1)
+
+
+class TestExactSampler:
+    """The overlap u = |<phi|psi>|^2 of a draw has density (M+1) u^M on [0, 1]
+    and the azimuth of phi about psi is uniform, independent of u."""
+
+    SHOTS = 100_000
+
+    @staticmethod
+    def draws(m, shots, seed):
+        psi = haar_random_pure(rng_from_seed(1000 + m))
+        return psi, sample_candidates(m, psi, shots, rng_from_seed(seed))
+
+    @pytest.mark.parametrize("m", [1, 3, 12, 20])
+    def test_unit_norm(self, m):
+        _, phi = self.draws(m, self.SHOTS, seed=10 + m)
+        assert phi.shape == (self.SHOTS, 2)
+        assert np.max(np.abs(np.linalg.norm(phi, axis=1) - 1)) <= 1e-15
+
+    @pytest.mark.parametrize("m", [1, 3, 12, 20])
+    def test_overlap_moments(self, m):
+        # E[u^k] = (M+1)/(M+1+k); each mean within 4 of its exact standard errors
+        psi, phi = self.draws(m, self.SHOTS, seed=20 + m)
+        u = np.abs(phi @ psi.conj()) ** 2
+        for k in (1, 2):
+            mean, second = (m + 1) / (m + 1 + k), (m + 1) / (m + 1 + 2 * k)
+            se = math.sqrt((second - mean ** 2) / self.SHOTS)
+            assert abs(np.mean(u ** k) - mean) < 4 * se, k
+
+    @pytest.mark.parametrize("m", [1, 3, 12, 20])
+    def test_overlap_distribution(self, m):
+        # Kolmogorov-Smirnov: u^(M+1) is uniform, at the 1% level
+        psi, phi = self.draws(m, self.SHOTS, seed=30 + m)
+        x = np.sort(np.abs(phi @ psi.conj()) ** (2 * (m + 1)))
+        n = len(x)
+        ks = max(np.max(np.arange(1, n + 1) / n - x), np.max(x - np.arange(n) / n))
+        assert ks < 1.63 / math.sqrt(n)
+
+    @pytest.mark.parametrize("m", [1, 3, 12, 20])
+    def test_azimuth_uniform(self, m):
+        # the relative phase of the psi_perp and psi components, e^(i chi)
+        psi, phi = self.draws(m, self.SHOTS, seed=40 + m)
+        perp = np.array([-psi[1].conj(), psi[0].conj()])
+        rel = (phi @ perp.conj()) * (phi @ psi.conj()).conj()
+        assert abs(np.mean(rel / np.abs(rel))) < 4 / math.sqrt(self.SHOTS)
+
+    def test_same_seed_same_bytes(self):
+        a = self.draws(7, 1000, seed=50)[1]
+        b = self.draws(7, 1000, seed=50)[1]
+        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("psi", [[1, 1], [1 + 1e-8, 0], [1, 0, 0], [[1, 0]]])
+    def test_rejects_non_unit_input(self, psi):
+        with pytest.raises(ValueError):
+            sample_candidates(2, psi, 10, rng_from_seed(1))
+        with pytest.raises(ValueError):
+            estimate_monte_carlo(2, psi, 10, seed=1)
 
 
 class TestMeasureAndPrepare:
