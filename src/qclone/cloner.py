@@ -13,20 +13,23 @@ symmetric input, for every 1 ≤ N ≤ M ≤ 60. One batched core
 (`measure_shrinking_dicke`) measures input and output qubit, shrinking
 factor and fidelity for s inputs at once: it sends the (s, N+1, N+1)
 coordinates through the cached cloner table in one scatter-add and runs
-the reductions, Bloch vectors and every guard as array operations.
-`certify_universality` draws its Haar tensor powers in chunks of
-s = BLOCK_ENTRIES // max((M+1)², table entries) samples (at least one), so
-neither the table terms nor the outputs of a chunk exceed
-`symspace.BLOCK_ENTRIES` complex entries, and keeps only running sums and
-extremes: memory does not grow with the sample count. `measure_shrinking`
-is the batch of one; it takes a full-space operator and gets its support
-check and coordinates from one pass (`symmetric_coords`). The full 2^M-space
-path (M ≤ 12) is only the independent oracle behind the symmetric-support
-residual, the CLI sanity checks and the full-space adapters. With V the
-Dicke isometry, it contracts rho against V to T = (N+1)/(M+1) V†(rho ⊗ 1)V;
-V T V† is constant on popcount-class blocks, so the residual reads the
-(M+1)x(M+1) class table of `_apply_full` and only `apply_cloner` gathers the
-2^M x 2^M output. The two paths agree within 1e-10 where both apply.
+the reductions, Bloch vectors and every guard, trace preservation
+included, as array operations. `certify_universality` draws its Haar
+tensor powers in chunks of s = BLOCK_ENTRIES // max((M+1)², table entries)
+samples (at least one), so neither the table terms nor the outputs of a
+chunk exceed `symspace.BLOCK_ENTRIES` complex entries, and keeps only
+running sums and extremes: memory does not grow with the sample count.
+The outputs are Dicke coordinates, so they lie on the symmetric subspace
+by construction, and certification never forms a 2^N or 2^M operator.
+`measure_shrinking` is the batch of one; it takes a full-space operator and
+gets its support check and coordinates from one pass (`symmetric_coords`).
+
+The full 2^M-space path (M ≤ 12) is the independent oracle behind
+`apply_cloner`, the CLI sanity checks and the tests. With V the Dicke
+isometry, it contracts rho against V to T = (N+1)/(M+1) V†(rho ⊗ 1)V;
+V T V† is constant on popcount-class blocks, so `_apply_full` returns the
+(M+1)x(M+1) class table and `apply_cloner` gathers the 2^M x 2^M output
+from it. The two paths agree within 1e-10 where both apply.
 """
 
 from __future__ import annotations
@@ -86,7 +89,6 @@ class CloneReport:
     eta_predicted: float
     fidelity_measured: float
     universality_spread: float
-    output_symmetric_residual: float
 
 
 def apply_cloner(ch, rho_n):
@@ -180,10 +182,10 @@ def measure_shrinking(ch, rho_n):
 def _certify(ch, batches):
     """CloneReport over every input of `batches`, an iterable of Dicke
     coordinate arrays (s, N+1, N+1) of accepted inputs: mean shrinking factor
-    and fidelity, the spread of the shrinking factors and the largest
-    full-space residual. Only running sums and extremes outlive a batch."""
+    and fidelity and the spread of the shrinking factors. Only running sums
+    and extremes outlive a batch; no input or output leaves Dicke coordinates."""
     count = 0
-    eta_sum = fid_sum = residual = 0.0
+    eta_sum = fid_sum = 0.0
     eta_min, eta_max = np.inf, -np.inf
     for coords in batches:
         etas, fids = measure_shrinking_dicke(ch, coords)
@@ -191,7 +193,6 @@ def _certify(ch, batches):
         eta_sum += etas.sum()
         fid_sum += fids.sum()
         eta_min, eta_max = min(eta_min, etas.min()), max(eta_max, etas.max())
-        residual = max(residual, _symmetric_residual(ch, coords))
     return CloneReport(
         n_in=ch.n_in,
         m_out=ch.m_out,
@@ -199,14 +200,14 @@ def _certify(ch, batches):
         eta_predicted=ch.eta_predicted,
         fidelity_measured=float(fid_sum / count),
         universality_spread=float(eta_max - eta_min),
-        output_symmetric_residual=residual,
     )
 
 
 def measure_shrinking_dicke(ch, coords):
     """Shrinking factor and direction-state fidelity of each input of the
     batch `coords` (s, N+1, N+1), or of one input (N+1, N+1); raises if any
-    reduced input is degenerate, any output Bloch vector is rotated or any
+    reduced input is degenerate, any output trace differs from its input
+    trace by more than 1e-10, any output Bloch vector is rotated or any
     output qubit is not Hermitian."""
     s_in = bloch_of(reduced_qubit_from_dicke(coords))
     len_in = np.linalg.norm(s_in, axis=-1)
@@ -214,7 +215,11 @@ def measure_shrinking_dicke(ch, coords):
         raise DegenerateInputError(
             f"reduced input Bloch length {len_in.min():.2e} below {MIN_BLOCH_LENGTH:.0e}; "
             "shrinking factor undefined")
-    out_qubit = reduced_qubit_from_dicke(apply_cloner_dicke(ch, coords))
+    out = apply_cloner_dicke(ch, coords)
+    drift = np.abs(np.trace(out, axis1=-2, axis2=-1) - np.trace(coords, axis1=-2, axis2=-1))
+    if drift.max() > 1e-10:
+        raise RuntimeError(f"channel output trace differs from input trace by {drift.max():.3e}")
+    out_qubit = reduced_qubit_from_dicke(out)
     s_out = bloch_of(hermitize(out_qubit))
     len_out = np.linalg.norm(s_out, axis=-1)
     # Angle via the perpendicular residual; arccos of the normalized dot
@@ -233,16 +238,6 @@ def _direction_state(s):
     theta = np.arccos(np.clip(unit[..., 2], -1.0, 1.0))
     phi = np.arctan2(unit[..., 1], unit[..., 0])
     return np.stack((np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)), axis=-1)
-
-
-def _symmetric_residual(ch, coords):
-    """Largest max |out - V V† out| (weight outside the symmetric subspace) over the outputs
-    of a batch's embedded inputs, on class tables: a class mean is (C(M,k) T̃[k, l]) / C(M,k)."""
-    if ch.m_out > FULL_SPACE_MAX:
-        return 0.0  # dicke path output is symmetric by construction
-    binom = np.array([comb(ch.m_out, k) for k in range(ch.m_out + 1)], float)[:, None]
-    return max(float(np.max(np.abs(t - binom * t / binom)))
-               for t in (_apply_full(ch, embed_dicke(c)) for c in coords))
 
 
 def _chunk_size(ch):

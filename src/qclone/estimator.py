@@ -35,7 +35,7 @@ from .linalg import (
     rng_from_seed,
 )
 from .symspace import symmetric_coords, tensor_power_dicke
-from .cloner import CloneChannel, _check_dicke, apply_cloner_dicke
+from .cloner import CloneChannel, apply_cloner_dicke
 
 MAX_COPIES = 20
 
@@ -213,7 +213,6 @@ def verify_statement_b(m, l, psi=None):
     which telescopes to (M+1)/(M+2) for every L <= DICKE_MAX.
     """
     ch = CloneChannel(m, l)
-    _check_dicke(ch)
     if psi is None:
         psi = np.array([1.0, 0.0], dtype=complex)
     psi = np.asarray(psi, dtype=complex)

@@ -90,20 +90,9 @@ def embed_dicke(coords):
 
 def symmetric_residual(op):
     """max |op - V(V† op)|: the largest entry of the part of op's columns
-    outside the symmetric subspace. V V† op replaces each row of op by the
-    mean of its popcount class (see `_support_pass`, whose left half this
-    is), so the work is one real BLAS product and a blocked subtraction;
+    outside the symmetric subspace, the left residual of `_support_pass`;
     the dense symmetrizer is never formed."""
-    op = np.ascontiguousarray(op, dtype=complex)
-    n = _check_n(n_qubits_of(op))
-    d = op.shape[0]
-    ones, ind, _, inv_binom = _popcount_classes(n)
-    row_means = (ind.T @ op.view(float)).view(complex) * inv_binom[:, None]
-    left = 0.0   # np.maximum keeps a NaN entry
-    rows = max(1, BLOCK_ENTRIES // d)
-    for i in range(0, d, rows):
-        left = np.maximum(left, np.max(np.abs(op[i:i + rows] - row_means[ones[i:i + rows]])))
-    return float(left)
+    return _support_pass(op)[0]
 
 
 @lru_cache(maxsize=None)

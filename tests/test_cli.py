@@ -149,6 +149,9 @@ CLONE = ["clone", "--n", "1", "--m", "2", "--samples", "2"]
     (["estimate", "--m", "20", "--shots", "10000"], 0),
     (["estimate", "--m", "21"], 2),
     (["bounds", "--n", "1", "--m", "1001"], 0),
+    (["concat", "--n", "61", "--m", "61", "--l", "61"], 2),
+    (["concat", "--n", "1", "--m", "61", "--l", "61"], 2),
+    (["concat", "--n", "2000", "--m", "2000", "--l", "2000"], 2),
 ])
 def test_argument_contract(capsys, argv, code):
     try:
