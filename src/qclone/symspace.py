@@ -6,12 +6,13 @@ strings with k ones. `dicke_basis` returns the isometry V into the full
 2^n space; `project_dicke`/`embed_dicke` move operators between the
 (n+1)-dimensional coordinate space and the full space.
 
-Row i of V has a single nonzero, C(n, popcount i)^(-1/2), so V†ρ and ρV are
-sums over popcount classes. `symmetric_coords` uses this to check that a
-full-space input lies on the symmetric subspace and to project it onto
-Dicke coordinates in one pass over ρ; for a C-contiguous complex128 ρ the
-pass allocates no 2^n x 2^n temporary. `is_symmetric_support` is the same
-pass's verdict.
+Row i of V has a single nonzero, C(n, popcount i)^(-1/2), so the Dicke
+coordinates c = V†ρV are popcount-class sums and S ρ S = V c V†, S = V V†,
+is constant on each class block. `symmetric_coords` projects a full-space
+input and checks its support in one pass over ρ: it accepts iff
+max|ρ - SρS| < tol/2, which puts both max|ρ - Sρ| and max|ρ - ρS| below
+tol; for a C-contiguous complex128 ρ it allocates no 2^n x 2^n temporary.
+`is_symmetric_support` is the same pass's verdict.
 
 `pseudo_mixture_decompose` writes any symmetric density operator as a
 signed combination of identical tensor-power pure projectors with weights
@@ -71,7 +72,7 @@ def project_dicke(op, n=None):
     """V† op V: full-space operator to (n+1)-dim Dicke coordinates."""
     op = np.asarray(op, dtype=complex)
     if n is None:
-        n = int(round(np.log2(op.shape[0])))
+        n = n_qubits_of(op)
     v = dicke_basis(n)
     if op.shape != (2 ** n, 2 ** n):
         raise ValueError(f"operator shape {op.shape} does not match n={n}")
@@ -81,7 +82,7 @@ def project_dicke(op, n=None):
 def embed_dicke(coords):
     """V coords V†: Dicke-coordinate operator into the full 2^n space."""
     coords = np.asarray(coords, dtype=complex)
-    n = coords.shape[0] - 1
+    n = coords.shape[0] - 1 if coords.ndim == 2 else 0
     if coords.shape != (n + 1, n + 1) or n < 1:
         raise ValueError(f"coords must be square (n+1)x(n+1), got {coords.shape}")
     v = dicke_basis(n)
@@ -89,9 +90,8 @@ def embed_dicke(coords):
 
 
 def symmetric_residual(op):
-    """max |op - V(V† op)|: the largest entry of the part of op's columns
-    outside the symmetric subspace, the left residual of `_support_pass`;
-    the dense symmetrizer is never formed."""
+    """max |op - S op S| with S = V V†, the residual of `_support_pass`; the
+    dense symmetrizer is never formed."""
     return _support_pass(op)[0]
 
 
@@ -109,51 +109,51 @@ def _popcount_classes(n):
 
 
 def _support_pass(rho):
-    """(max|ρ - VV†ρ|, max|ρ - ρVV†|, V†ρV) of a 2^n x 2^n operator.
+    """(max|R|, c) of a 2^n x 2^n operator: c = V†ρV and R = ρ - V c V†.
 
-    VV†ρ replaces each row by the mean of its popcount class and ρVV† each
-    column by the mean of its class, so both come from the class sums
-    Eᵀρ and ρE, two real BLAS products on the float view of ρ. The
-    residuals are then taken in row blocks of BLOCK_ENTRIES entries. For a
-    C-contiguous complex128 ρ no array of the size of ρ is allocated; any
-    other input (real, complex64, a transpose or Fortran order) is first
-    copied to that layout.
+    Row i of V has one nonzero, C(n, k)^(-1/2) at k = popcount i, so c is
+    the class sums (Eᵀρ)E, two real BLAS products on the float view of ρ,
+    and row i of V c V† is row k of the (n+1) x 2^n table
+    (V c V†)[i, j] = c[k, l] / sqrt(C(n,k) C(n,l)), l = popcount j. R is
+    taken in row blocks of BLOCK_ENTRIES entries. For a C-contiguous
+    complex128 ρ no array of the size of ρ is allocated; any other input
+    (real, complex64, a transpose or Fortran order) is first copied.
+
+    With S = VV†, (1 - S)V = 0 gives ρ - Sρ = (1 - S)R and ρ - ρS = R(1 - S);
+    1 - S subtracts a popcount-class mean, so each one-sided residual is at
+    most 2 max|R|, and max|R| < tol/2 puts both below tol.
     """
     rho = np.ascontiguousarray(rho, dtype=complex)
     n = _check_n(n_qubits_of(rho))
     d = rho.shape[0]
     ones, ind, ind2, inv_binom = _popcount_classes(n)
-    flat = rho.view(float)
-    row_sums = (ind.T @ flat).view(complex)           # (n+1, d)
-    col_sums = (flat @ ind2).view(complex)            # (d, n+1)
-    row_means = row_sums * inv_binom[:, None]
-    col_means = col_sums * inv_binom[None, :]
-    left = right = 0.0   # np.maximum keeps a NaN entry, so it is never accepted
-    rows = max(1, BLOCK_ENTRIES // d)
-    for i in range(0, d, rows):
-        block = rho[i:i + rows]
-        left = np.maximum(left, np.max(np.abs(block - row_means[ones[i:i + rows]])))
-        right = np.maximum(right, np.max(np.abs(block - col_means[i:i + rows][:, ones])))
+    row_sums = (ind.T @ rho.view(float)).view(complex)    # (n+1, d)
     scale = np.sqrt(inv_binom)
     coords = scale[:, None] * (row_sums.view(float) @ ind2).view(complex) * scale[None, :]
-    return float(left), float(right), coords
+    table = (scale[:, None] * coords * scale[None, :])[:, ones]   # row k: VcV† on class k
+    resid = 0.0   # np.maximum keeps a NaN entry, so it is never accepted
+    rows = max(1, BLOCK_ENTRIES // d)
+    for i in range(0, d, rows):
+        resid = np.maximum(resid, np.max(np.abs(rho[i:i + rows] - table[ones[i:i + rows]])))
+    return float(resid), coords
 
 
 def is_symmetric_support(rho, tol=PSD_TOL):
-    """True iff rho lives entirely on the symmetric subspace: both
-    max|rho - V V† rho| and max|rho - rho V V†| are below tol."""
-    left, right, _ = _support_pass(rho)
-    return bool(left < tol and right < tol)
+    """True iff rho lives entirely on the symmetric subspace:
+    max|rho - S rho S| < tol/2, which puts both max|rho - S rho| and
+    max|rho - rho S| below tol (see `_support_pass`)."""
+    return bool(_support_pass(rho)[0] < tol / 2)
 
 
 def symmetric_coords(rho, n=None):
     """V† rho V of an operator on the symmetric subspace; raises ValueError
-    when rho fails `is_symmetric_support(rho)` or, given n, is not
+    unless max|rho - S rho S| < PSD_TOL/2 (`is_symmetric_support(rho)`,
+    both one-sided residuals below PSD_TOL) or when, given n, rho is not
     2^n x 2^n."""
     if n is not None and np.shape(rho) != (2 ** n, 2 ** n):
         raise ValueError(f"input shape {np.shape(rho)} does not match n={n}")
-    left, right, coords = _support_pass(rho)
-    if not (left < PSD_TOL and right < PSD_TOL):
+    resid, coords = _support_pass(rho)
+    if not resid < PSD_TOL / 2:
         raise ValueError("input has weight outside the symmetric subspace")
     return coords
 

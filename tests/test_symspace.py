@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qclone import symspace
-from qclone.linalg import haar_random_pure, kron_power, rng_from_seed
+from qclone.linalg import PSD_TOL, haar_random_pure, kron_power, rng_from_seed
 from qclone.symspace import (
     _support_pass,
     dicke_basis,
@@ -168,26 +168,74 @@ class TestSupportPass:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_residuals_match_dense(self, n):
         rng = rng_from_seed(700 + n)
-        comp = np.eye(2 ** n) - symmetrizer(n)
+        s = symmetrizer(n)
         x = rng.standard_normal((2 ** n,) * 2) + 1j * rng.standard_normal((2 ** n,) * 2)
-        left, right, _ = _support_pass(x)
-        assert symmetric_residual(x) == left
-        assert abs(left - np.max(np.abs(comp @ x))) < 1e-13
-        assert abs(right - np.max(np.abs(x @ comp))) < 1e-13
+        resid, _ = _support_pass(x)
+        assert symmetric_residual(x) == resid
+        assert abs(resid - np.max(np.abs(x - s @ x @ s))) < 1e-13
 
     @pytest.mark.parametrize("n", [3, 6, 9])
     def test_block_size_does_not_matter(self, n, monkeypatch):
         # rows per block: 1, 3 (does not divide 2^n) and more than 2^n
         rng = rng_from_seed(800 + n)
         rho = 0.5 * embed_dicke(ginibre_coords(rng, n)) + 0.5 * generic_density(rng, n)
-        left, right, coords = _support_pass(rho)
+        resid, coords = _support_pass(rho)
         d = 2 ** n
         for entries in (1, 3 * d, (d + 5) * d):
             monkeypatch.setattr(symspace, "BLOCK_ENTRIES", entries)
-            other_left, other_right, other_coords = _support_pass(rho)
-            assert (other_left, other_right) == (left, right)
-            assert symmetric_residual(rho) == left
+            other_resid, other_coords = _support_pass(rho)
+            assert other_resid == resid
+            assert symmetric_residual(rho) == resid
             assert np.array_equal(other_coords, coords)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_acceptance_implies_one_sided_residuals(self, n):
+        # accepting max|R| < tol/2 bounds both one-sided residuals by tol,
+        # so nothing is accepted that fails the one-sided test
+        rng = rng_from_seed(820 + n)
+        comp = np.eye(2 ** n) - symmetrizer(n)
+        accepted = 0
+        for _ in range(30):
+            g = rng.standard_normal((2 ** n,) * 2) + 1j * rng.standard_normal((2 ** n,) * 2)
+            rho = random_symmetric_density(n, rng) + 10 ** rng.uniform(-12, -8) * g
+            if not is_symmetric_support(rho):
+                with pytest.raises(ValueError):
+                    symmetric_coords(rho)
+                continue
+            symmetric_coords(rho)
+            accepted += 1
+            assert np.max(np.abs(comp @ rho)) < PSD_TOL
+            assert np.max(np.abs(rho @ comp)) < PSD_TOL
+        assert 0 < accepted < 30
+
+    def test_rejects_just_above_half_tol(self):
+        # a singlet admixture that puts max|R| just above tol/2 is rejected,
+        # though both one-sided residuals stay below tol
+        eps = 0.51 * PSD_TOL
+        rho = np.outer(SINGLET, SINGLET.conj())
+        rho *= eps / np.max(np.abs(rho - symmetrizer(2) @ rho @ symmetrizer(2)))
+        rho += np.diag([1.0, 0, 0, 0])
+        resid, _ = _support_pass(rho)
+        assert PSD_TOL / 2 < resid < 0.52 * PSD_TOL
+        comp = np.eye(4) - symmetrizer(2)
+        assert max(np.max(np.abs(comp @ rho)), np.max(np.abs(rho @ comp))) < PSD_TOL
+        assert not is_symmetric_support(rho)
+        with pytest.raises(ValueError):
+            symmetric_coords(rho)
+        assert is_symmetric_support(rho, tol=2.1 * resid)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_rejects_nan_and_inf(self, n):
+        d = 2 ** n
+        nan_off, inf_diag = np.eye(d, dtype=complex) / d, np.eye(d, dtype=complex) / d
+        nan_off[0, d - 1] = np.nan
+        inf_diag[d - 1, d - 1] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            for rho in (nan_off, inf_diag):
+                with pytest.raises(ValueError):
+                    symmetric_coords(rho)
+                assert is_symmetric_support(rho) is False
+                assert not np.isfinite(symmetric_residual(rho))
 
     def test_contiguous_input_is_not_copied(self):
         # a C-contiguous complex128 input is read in place: the pass's peak
@@ -212,6 +260,13 @@ class TestSupportPass:
         for check in (_support_pass, is_symmetric_support, symmetric_coords, symmetric_residual):
             with pytest.raises(ValueError):
                 check(op)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (), (4,), (2, 2, 2)])
+    def test_dicke_maps_reject_bad_shapes(self, shape):
+        op = np.zeros(shape, dtype=complex)
+        for move in (project_dicke, embed_dicke):
+            with pytest.raises(ValueError):
+                move(op)
 
     def test_symmetric_coords_rejects_outside_weight(self):
         with pytest.raises(ValueError):
