@@ -28,6 +28,7 @@ from . import bounds as bd
 from .cloner import (CloneChannel, apply_cloner, apply_cloner_dicke, certify_universality,
                      measure_shrinking_dicke, tensor_power_input)
 from .estimator import (
+    MAX_SHOTS,
     estimate_monte_carlo,
     estimation_fidelity_exact,
     measure_and_prepare_dicke,
@@ -196,6 +197,9 @@ def _ledger_grid_checks():
 
 
 def run_verify_all(seed, samples, tol):
+    if samples > MAX_SHOTS // 200:
+        raise ValueError(f"samples must be at most {MAX_SHOTS // 200}: Monte Carlo cells "
+                         f"draw 200 shots per sample, at most {MAX_SHOTS}")
     checks = _ledger_grid_checks()
 
     # Cloning grid N <= 4, M <= 8.
@@ -265,7 +269,9 @@ def run_verify_all(seed, samples, tol):
 
 
 def _sanity_checks(n, m, seed):
-    """Full-space channel sanity: trace, positivity, support, reductions."""
+    """Channel sanity on the 2^M-dim output of `apply_cloner`, the Dicke
+    engine's output embedded in the full space: trace, positivity, the
+    symmetric residual max|out - S out S| and identical reductions."""
     ch = CloneChannel(n, m)
     psi = haar_random_pure(rng_from_seed(seed))
     out = apply_cloner(ch, tensor_power_input(psi, n))
@@ -351,8 +357,9 @@ def _samples(text):
 
 def _shots(text):
     value = int(text)
-    if value < 0 or value == 1:
-        raise argparse.ArgumentTypeError(f"shots must be 0 (skip) or at least 2, got {text}")
+    if not (value == 0 or 2 <= value <= MAX_SHOTS):
+        raise argparse.ArgumentTypeError(
+            f"shots must be 0 (skip) or in 2..{MAX_SHOTS}, got {text}")
     return value
 
 
@@ -369,12 +376,16 @@ def build_parser():
         description="Universal qubit cloning and state estimation verification suite.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_format):
-        p.add_argument("--seed", type=_seed, default=1, help="64-bit RNG seed, 0..2^64-1")
-        p.add_argument("--samples", type=_samples, default=50,
-                       help="random inputs per cell, at least 2")
-        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
-                       help="tolerance for physics checks, finite and > 0")
+    seed = ("--seed", dict(type=_seed, default=1, help="64-bit RNG seed, 0..2^64-1"))
+    samples = ("--samples", dict(type=_samples, default=50,
+                                 help="random inputs per cell, at least 2"))
+    tol = ("--tol", dict(type=_tolerance, default=DEFAULT_TOL,
+                         help="tolerance for physics checks, finite and > 0"))
+
+    def common(p, default_format, *options):
+        """The options the command reads, then --format and --output."""
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--format", choices=["json", "csv", "table"],
                        default=default_format, dest="output_format")
         p.add_argument("--output", type=str, default=None, help="write report to file")
@@ -388,21 +399,22 @@ def build_parser():
     p = sub.add_parser("clone", help="run and certify the n->m cloner")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    common(p, "json")
+    common(p, "json", seed, samples, tol)
 
     p = sub.add_parser("estimate", help="estimation on m copies, exact + MC")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--shots", type=_shots, default=10000, help="MC shots: 0 (skip) or >= 2")
-    common(p, "json")
+    p.add_argument("--shots", type=_shots, default=10000,
+                   help=f"MC shots: 0 (skip) or 2..{MAX_SHOTS}")
+    common(p, "json", seed, tol)
 
     p = sub.add_parser("concat", help="chain multiplicativity for (n, m, l)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    common(p, "json")
+    common(p, "json", seed, tol)
 
     p = sub.add_parser("verify-all", help="full verification grid")
-    common(p, "json")
+    common(p, "json", seed, samples, tol)
 
     return parser
 

@@ -13,10 +13,11 @@ symmetric input, for every 1 ≤ N ≤ M ≤ 60. One batched core
 (`measure_shrinking_dicke`) measures input and output qubit, shrinking
 factor and fidelity for s inputs at once: it sends the (s, N+1, N+1)
 coordinates through the cached cloner table in one scatter-add and runs
-the reductions, Bloch vectors and every guard, trace preservation
-included, as array operations. `certify_universality` draws its Haar
-tensor powers in chunks of s = BLOCK_ENTRIES // max((M+1)², table entries)
-samples (at least one), so neither the table terms nor the outputs of a
+the reductions, Bloch vectors and every guard as array operations; the
+engine (`apply_cloner_dicke`) itself checks that every output keeps its
+input's trace. `certify_universality` draws its Haar tensor powers in
+chunks of s = BLOCK_ENTRIES // max((M+1)², table entries) samples (at
+least one), so neither the table terms nor the outputs of a
 chunk exceed `symspace.BLOCK_ENTRIES` complex entries, and keeps only
 running sums and extremes: memory does not grow with the sample count.
 The outputs are Dicke coordinates, so they lie on the symmetric subspace
@@ -24,12 +25,9 @@ by construction, and certification never forms a 2^N or 2^M operator.
 `measure_shrinking` is the batch of one; it takes a full-space operator and
 gets its support check and coordinates from one pass (`symmetric_coords`).
 
-The full 2^M-space path (M ≤ 12) is the independent oracle behind
-`apply_cloner`, the CLI sanity checks and the tests. With V the Dicke
-isometry, it contracts rho against V to T = (N+1)/(M+1) V†(rho ⊗ 1)V;
-V T V† is constant on popcount-class blocks, so `_apply_full` returns the
-(M+1)x(M+1) class table and `apply_cloner` gathers the 2^M x 2^M output
-from it. The two paths agree within 1e-10 where both apply.
+`apply_cloner` is the same engine embedded in the full space (M ≤ 12):
+V·apply_cloner_dicke(V†ρV)·V† with V the Dicke isometry. The dense 2^M
+channel remains only as an independent oracle in the tests.
 """
 
 from __future__ import annotations
@@ -43,14 +41,13 @@ import numpy as np
 from .linalg import (
     DegenerateInputError,
     bloch_of,
+    haar_random_pure_batch,
     hermitize,
     pure_fidelity,
     rng_from_seed,
 )
 from .symspace import (
     BLOCK_ENTRIES,
-    _popcount_classes,
-    dicke_basis,
     embed_dicke,
     reduced_qubit_from_dicke,
     symmetric_coords,
@@ -92,33 +89,13 @@ class CloneReport:
 
 
 def apply_cloner(ch, rho_n):
-    """Full-space channel application: the 2^M-dim output, gathered from its class table."""
-    rho_n = np.asarray(rho_n, dtype=complex)
-    symmetric_coords(rho_n, ch.n_in)  # shape and support check
-    table, ones = _apply_full(ch, rho_n), _popcount_classes(ch.m_out)[0]
-    return rho_n.copy() if ch.m_out == ch.n_in else table[ones[:, None], ones]
-
-
-def _apply_full(ch, rho_n):
-    """Output class table T̃[k, l] = hermitize((c_k T[k, l]) c_l) of an accepted input. Row
-    i of V has one nonzero, c_k = C(M,k)^(-1/2) at k = popcount i, so (V T V†)[i, j] is that
-    one product: the dense output is T̃[popcount i, popcount j], bit for bit, of trace
-    Σ_k C(M,k) T̃[k, k]."""
-    n, m = ch.n_in, ch.m_out
-    if m > FULL_SPACE_MAX:
+    """Full-space channel application for m_out <= FULL_SPACE_MAX: the Dicke
+    engine's output embedded in the 2^M space, V·apply_cloner_dicke(V†ρV)·V†."""
+    if ch.m_out > FULL_SPACE_MAX:
         raise ValueError(f"full-space path limited to m_out <= {FULL_SPACE_MAX}; "
                          "use apply_cloner_dicke")
-    # Row index of V is (input qubits, blank qubits), so V†(rho ⊗ 1)V
-    # contracts rho against V split as (2^N, 2^(M-N), M+1).
-    v = dicke_basis(m)
-    coords = v.conj().T @ (rho_n @ v.reshape(2 ** n, -1)).reshape(2 ** m, m + 1)
-    binom = np.array([comb(m, k) for k in range(m + 1)], dtype=float)
-    c = 1 / np.sqrt(binom)
-    table = hermitize(c[:, None] * ((n + 1) / (m + 1) * coords) * c)
-    tr = (binom @ table.diagonal()).real
-    if abs(tr - 1) > 1e-10:
-        raise RuntimeError(f"channel output trace {tr}, expected 1")
-    return table
+    coords = symmetric_coords(rho_n, ch.n_in)
+    return embed_dicke(hermitize(apply_cloner_dicke(ch, coords)))
 
 
 def _check_dicke(ch):
@@ -152,7 +129,8 @@ def apply_cloner_dicke(ch, coords_n):
     factor per excess weight w: out = (N+1)/(M+1) Σ_w C(M-N,w) A_w ρ A_wᵀ.
     The coefficients come from the cached `_dicke_table(N, M)`; one
     scatter-add (`np.add.at` over the flattened batch, increasing w within
-    each input) sums the terms into the outputs.
+    each input) sums the terms into the outputs. Raises if any output trace
+    differs from its input trace by more than 1e-10.
     """
     coords_n = np.asarray(coords_n, dtype=complex)
     n, m = ch.n_in, ch.m_out
@@ -166,6 +144,9 @@ def apply_cloner_dicke(ch, coords_n):
     np.add.at(out.reshape(-1), index.ravel(), (k * batch[:, None]).ravel())
     out *= n + 1
     out /= m + 1
+    drift = np.abs(np.trace(out, axis1=-2, axis2=-1) - np.trace(coords_n, axis1=-2, axis2=-1))
+    if drift.max() > 1e-10:
+        raise RuntimeError(f"channel output trace differs from input trace by {drift.max():.3e}")
     return out
 
 
@@ -207,19 +188,15 @@ def measure_shrinking_dicke(ch, coords):
     """Shrinking factor and direction-state fidelity of each input of the
     batch `coords` (s, N+1, N+1), or of one input (N+1, N+1); raises if any
     reduced input is degenerate, any output trace differs from its input
-    trace by more than 1e-10, any output Bloch vector is rotated or any
-    output qubit is not Hermitian."""
+    trace by more than 1e-10 (`apply_cloner_dicke`), any output Bloch vector
+    is rotated or any output qubit is not Hermitian."""
     s_in = bloch_of(reduced_qubit_from_dicke(coords))
     len_in = np.linalg.norm(s_in, axis=-1)
     if len_in.min() < MIN_BLOCH_LENGTH:
         raise DegenerateInputError(
             f"reduced input Bloch length {len_in.min():.2e} below {MIN_BLOCH_LENGTH:.0e}; "
             "shrinking factor undefined")
-    out = apply_cloner_dicke(ch, coords)
-    drift = np.abs(np.trace(out, axis1=-2, axis2=-1) - np.trace(coords, axis1=-2, axis2=-1))
-    if drift.max() > 1e-10:
-        raise RuntimeError(f"channel output trace differs from input trace by {drift.max():.3e}")
-    out_qubit = reduced_qubit_from_dicke(out)
+    out_qubit = reduced_qubit_from_dicke(apply_cloner_dicke(ch, coords))
     s_out = bloch_of(hermitize(out_qubit))
     len_out = np.linalg.norm(s_out, axis=-1)
     # Angle via the perpendicular residual; arccos of the normalized dot
@@ -250,10 +227,7 @@ def _chunk_size(ch):
 def _haar_tensor_powers(rng, count, n):
     """Dicke coordinates (count, n+1, n+1) of |psi><psi|^⊗n for count
     Haar-random psi, the same draws as count calls of haar_random_pure."""
-    x = rng.standard_normal((count, 2, 2))
-    psi = x[:, 0] + 1j * x[:, 1]
-    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
-    c = tensor_power_dicke(psi, n)
+    c = tensor_power_dicke(haar_random_pure_batch(rng, count), n)
     return c[:, :, None] * c[:, None, :].conj()
 
 

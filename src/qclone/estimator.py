@@ -12,7 +12,7 @@ exactly instead: under the Haar measure the overlap u = |<phi|psi>|^2 is
 uniform on [0, 1] and the azimuth of phi about psi is uniform and
 independent of it, so the outcome density (M+1) u^M is sampled by inverting
 its distribution function, with no rejection. Both paths accept
-1 <= M <= MAX_COPIES.
+1 <= M <= MAX_COPIES; the Monte Carlo path draws 1..MAX_SHOTS shots.
 
 Estimating on M copies and preparing the candidate realizes cloning to
 arbitrarily many copies; its single-qubit output is exactly the
@@ -38,6 +38,7 @@ from .symspace import symmetric_coords, tensor_power_dicke
 from .cloner import CloneChannel, apply_cloner_dicke
 
 MAX_COPIES = 20
+MAX_SHOTS = 10 ** 7   # drawn at once: about 100 B per shot, 1.03 GB peak RSS at the limit
 
 
 @dataclass(frozen=True)
@@ -159,8 +160,8 @@ def estimate_monte_carlo(m, psi, n_shots, seed):
     """Simulated measurement: n_shots candidate draws, empirical fidelity."""
     if not 1 <= m <= MAX_COPIES:
         raise ValueError(f"m must be in 1..{MAX_COPIES}, got {m}")
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
+    if not 1 <= n_shots <= MAX_SHOTS:
+        raise ValueError(f"n_shots must be in 1..{MAX_SHOTS}, got {n_shots}")
     psi = np.asarray(psi, dtype=complex)
     rng = rng_from_seed(seed)
     cands = sample_candidates(m, psi, n_shots, rng)

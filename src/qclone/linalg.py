@@ -132,8 +132,10 @@ def haar_random_pure(rng):
 
 
 def haar_random_pure_batch(rng, count):
-    """count Haar-uniform pure states, shape (count, 2)."""
-    amps = rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))
+    """count Haar-uniform pure states, shape (count, 2): the same draws as
+    count successive calls of haar_random_pure."""
+    x = rng.standard_normal((count, 2, 2))
+    amps = x[:, 0] + 1j * x[:, 1]
     return amps / np.linalg.norm(amps, axis=1, keepdims=True)
 
 

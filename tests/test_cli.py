@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from qclone.cli import main, run_concat
+from qclone.estimator import MAX_SHOTS
 
 
 def run_cli(capsys, *argv):
@@ -152,6 +153,11 @@ CLONE = ["clone", "--n", "1", "--m", "2", "--samples", "2"]
     (["concat", "--n", "61", "--m", "61", "--l", "61"], 2),
     (["concat", "--n", "1", "--m", "61", "--l", "61"], 2),
     (["concat", "--n", "2000", "--m", "2000", "--l", "2000"], 2),
+    (["bounds", "--n", "1", "--m", "2", "--seed", "1"], 2),
+    (["bounds", "--n", "1", "--m", "2", "--samples", "5"], 2),
+    (["bounds", "--n", "1", "--m", "2", "--tol", "1e-9"], 2),
+    (["estimate", "--m", "2", "--samples", "5"], 2),
+    (["concat", "--n", "1", "--m", "2", "--l", "4", "--samples", "5"], 2),
 ])
 def test_argument_contract(capsys, argv, code):
     try:
@@ -161,6 +167,26 @@ def test_argument_contract(capsys, argv, code):
     assert got == code
     if code == 2:
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--m", "2", "--shots", str(MAX_SHOTS + 1)],
+    ["verify-all", "--samples", str(MAX_SHOTS // 200 + 1)],
+])
+def test_shot_limit_refused_before_drawing(capsys, argv):
+    # refused before any shot is drawn: a draw at the limit alone peaks near 1 GB
+    tracemalloc.start()
+    try:
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 2
+    assert "error:" in capsys.readouterr().err
+    assert peak < 1e6
 
 
 def test_unwritable_output_exit_3(capsys):

@@ -4,11 +4,10 @@ from math import comb, sqrt
 import numpy as np
 import pytest
 
-from qclone import cloner
+from qclone import cloner, symspace
 from qclone.bounds import eta_opt
 from qclone.cloner import (
     CloneChannel,
-    _apply_full,
     _chunk_size,
     _dicke_table,
     apply_cloner,
@@ -50,8 +49,8 @@ def dense_cloner(n, m, rho_n):
 
 
 def dense_apply_full(ch, rho_n):
-    """Reference full-space output V·T·V† as two dense products, then
-    hermitize: the 2^M x 2^M route that the class table replaces."""
+    """Reference full-space output V·T·V†, T = (N+1)/(M+1) V†(rho ⊗ 1)V, as
+    two dense products, then hermitize."""
     n, m = ch.n_in, ch.m_out
     if m == n:
         return rho_n.copy()
@@ -144,12 +143,13 @@ class TestApplyCloner:
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_gather_equals_dense_route(self, n):
-        # the class-table gather is the two-product output bit for bit
+        # the embedded Dicke output against the two-product full-space route
         rng = rng_from_seed(720 + n)
         for m in range(n, 11):
             ch = CloneChannel(n, m)
             for rho_n in pure_and_mixed_inputs(rng, n):
-                assert np.array_equal(apply_cloner(ch, rho_n), dense_apply_full(ch, rho_n))
+                out = apply_cloner(ch, rho_n)
+                assert np.max(np.abs(out - dense_apply_full(ch, rho_n))) <= 1e-12
 
     def test_rejects_non_symmetric_input(self):
         singlet = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -178,15 +178,17 @@ class TestApplyCloner:
 class TestDickePath:
     @pytest.mark.parametrize("n,m", [(1, 2), (1, 5), (2, 4), (3, 8), (4, 12)])
     def test_agrees_with_full_space(self, n, m):
-        # every entry of the full-space output is one entry of its class table
-        # T̃ (`test_gather_equals_dense_route`), and V has c_k = C(M,k)^(-1/2)
-        # in row class k: embed(fast) - full reads c_k fast c_l - T̃, and
-        # project(full) - fast reads sqrt(C(M,k) C(M,l)) T̃ - fast
+        # V has one nonzero, c_k = C(M,k)^(-1/2), in each row of class k, so the
+        # full-space output V T V† is the class table T̃[k, l] = c_k T[k, l] c_l
+        # with T = (N+1)/(M+1) V†(rho ⊗ 1)V: embed(fast) - full reads
+        # c_k fast c_l - T̃, and project(full) - fast reads T̃ / (c_k c_l) - fast
         rng = rng_from_seed(n + 100 * m)
         rho_n = random_symmetric_density(n, rng)
-        table = _apply_full(CloneChannel(n, m), rho_n)
-        fast = apply_cloner_dicke(CloneChannel(n, m), project_dicke(rho_n, n))
+        v = dicke_basis(m)
+        coords = v.conj().T @ (rho_n @ v.reshape(2 ** n, -1)).reshape(2 ** m, m + 1)
         c = 1 / np.sqrt([comb(m, k) for k in range(m + 1)])
+        table = c[:, None] * ((n + 1) / (m + 1) * coords) * c
+        fast = apply_cloner_dicke(CloneChannel(n, m), project_dicke(rho_n, n))
         assert np.max(np.abs(c[:, None] * fast * c - table)) < 1e-10
         assert np.max(np.abs(table / (c[:, None] * c) - fast)) < 1e-10
 
@@ -198,7 +200,7 @@ class TestDickePath:
             coords = g @ g.conj().T
             coords /= coords.trace()
             fast = apply_cloner_dicke(CloneChannel(n, m), coords)
-            assert np.max(np.abs(fast - loop_dicke_cloner(n, m, coords))) <= 1e-15
+            assert np.array_equal(fast, loop_dicke_cloner(n, m, coords))
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 7), (6, 60)])
     def test_batch_matches_single_inputs(self, n, m):
@@ -361,8 +363,8 @@ class TestUniversality:
         def full_space(*args):
             raise AssertionError("certification left Dicke coordinates")
 
-        for name in ("_apply_full", "embed_dicke", "dicke_basis"):
-            monkeypatch.setattr(cloner, name, full_space)
+        monkeypatch.setattr(cloner, "embed_dicke", full_space)
+        monkeypatch.setattr(symspace, "dicke_basis", full_space)
         tracemalloc.start()
         try:
             rep = certify_universality(CloneChannel(3, 12), 50, seed=4)

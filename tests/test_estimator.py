@@ -5,6 +5,7 @@ import pytest
 
 from qclone.cloner import CloneChannel, apply_cloner, tensor_power_input
 from qclone.estimator import (
+    MAX_SHOTS,
     estimate_monte_carlo,
     estimation_fidelity_exact,
     measure_and_prepare_channel,
@@ -191,6 +192,11 @@ class TestExactSampler:
             sample_candidates(2, psi, 10, rng_from_seed(1))
         with pytest.raises(ValueError):
             estimate_monte_carlo(2, psi, 10, seed=1)
+
+    @pytest.mark.parametrize("shots", [0, MAX_SHOTS + 1])
+    def test_rejects_shot_count_outside_range(self, shots):
+        with pytest.raises(ValueError, match="n_shots"):
+            estimate_monte_carlo(2, KET0, shots, seed=1)
 
 
 class TestMeasureAndPrepare:

@@ -132,6 +132,11 @@ class TestHaarSampling:
         assert np.array_equal(haar_random_pure(rng_from_seed(2 ** 64 + 5)),
                               haar_random_pure(rng_from_seed(5)))
 
+    def test_batch_is_successive_single_draws(self):
+        rng = rng_from_seed(3)
+        singles = np.array([haar_random_pure(rng) for _ in range(50)])
+        assert np.max(np.abs(haar_random_pure_batch(rng_from_seed(3), 50) - singles)) <= 1e-15
+
     def test_normalized(self):
         psis = haar_random_pure_batch(rng_from_seed(1), 1000)
         assert np.allclose(np.linalg.norm(psis, axis=1), 1, atol=1e-12)
