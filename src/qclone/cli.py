@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -370,7 +371,9 @@ def _tolerance(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qclone",
         description="Universal qubit cloning and state estimation verification suite.")

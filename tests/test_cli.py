@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from qclone.cli import main, run_concat
+from qclone.cli import build_parser, main, run_concat
 from qclone.estimator import MAX_SHOTS
 
 
@@ -174,7 +174,7 @@ def test_argument_contract(capsys, argv, code):
     ["verify-all", "--samples", str(MAX_SHOTS // 200 + 1)],
 ])
 def test_shot_limit_refused_before_drawing(capsys, argv):
-    # refused before any shot is drawn: a draw at the limit alone peaks near 1 GB
+    # refused before any shot is drawn or any cell runs: only parsing allocates
     tracemalloc.start()
     try:
         try:
@@ -187,6 +187,18 @@ def test_shot_limit_refused_before_drawing(capsys, argv):
     assert got == 2
     assert "error:" in capsys.readouterr().err
     assert peak < 1e6
+
+
+def test_parser_reused_after_refusal(capsys):
+    argv = ["estimate", "--m", "3", "--shots", "1000", "--seed", "4"]
+    code, first, _ = run_cli(capsys, *argv)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--m", "3", "--shots", "1"])
+    assert exc.value.code == 2
+    assert run_cli(capsys, "bounds", "--n", "3", "--m", "2")[0] == 2
+    assert build_parser() is build_parser()
+    assert run_cli(capsys, *argv)[:2] == (0, first)
 
 
 def test_unwritable_output_exit_3(capsys):

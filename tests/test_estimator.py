@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from qclone.estimator import (
     sphere_quadrature,
     verify_statement_b,
 )
-from qclone.linalg import bloch_of, haar_random_pure, partial_trace, pure_fidelity, rng_from_seed
-from qclone.symspace import random_symmetric_density, symmetrizer, tensor_power_dicke
+from qclone.linalg import (bloch_of, haar_random_pure, hermitize, partial_trace, pure_fidelity,
+                           rng_from_seed)
+from qclone.symspace import BLOCK_ENTRIES, random_symmetric_density, symmetrizer, tensor_power_dicke
 
 KET0 = np.array([1, 0], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
+CHUNK = BLOCK_ENTRIES // 2   # shots per chunk of estimate_monte_carlo
 
 
 class TestQuadrature:
@@ -197,6 +200,48 @@ class TestExactSampler:
     def test_rejects_shot_count_outside_range(self, shots):
         with pytest.raises(ValueError, match="n_shots"):
             estimate_monte_carlo(2, KET0, shots, seed=1)
+
+
+class TestStream:
+    """Shots are drawn in chunks of BLOCK_ENTRIES // 2 with running sums; the
+    oracle draws them all with one `sample_candidates` call."""
+
+    @staticmethod
+    def oracle(m, psi, n_shots, seed):
+        cands = sample_candidates(m, psi, n_shots, rng_from_seed(seed))
+        fids = np.abs(cands @ psi.conj()) ** 2
+        rho_bar = hermitize((cands.T @ cands.conj()) / n_shots)
+        return float(fids.mean()), float(fids.std(ddof=1) / np.sqrt(n_shots)), rho_bar
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    def test_matches_one_draw(self, n):
+        # bit-equal within one chunk; beyond it only the summation order moves
+        psi = haar_random_pure(rng_from_seed(n))
+        rep = estimate_monte_carlo(4, psi, n, seed=72)
+        fid, se, rho_bar = self.oracle(4, psi, n, 72)
+        bound = 0.0 if n <= CHUNK else 1e-15
+        assert abs(rep.fidelity_measured - fid) <= bound
+        assert abs(rep.statistical_error - se) <= bound
+        assert np.max(np.abs(rep.rho_bar - rho_bar)) <= bound
+
+    def test_chunked_draws_continue_the_stream(self):
+        psi = haar_random_pure(rng_from_seed(75))
+        rng = rng_from_seed(76)
+        parts = [sample_candidates(5, psi, k, rng) for k in (CHUNK,) * 3 + (848,)]
+        whole = sample_candidates(5, psi, 3 * CHUNK + 848, rng_from_seed(76))
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+    def test_memory_does_not_grow_with_shots(self):
+        # all 10^6 shots at once would peak near 104 MB
+        psi = haar_random_pure(rng_from_seed(77))
+        estimate_monte_carlo(3, psi, 10, seed=78)
+        tracemalloc.start()
+        try:
+            estimate_monte_carlo(3, psi, 10 ** 6, seed=78)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestMeasureAndPrepare:
