@@ -9,25 +9,25 @@ single-qubit reduction by N(M+2)/(M(N+2)) without rotating it; saturation
 of that optimum is verified by the test suite, not assumed here.
 
 Certification works on Dicke coordinates, a complete description of a
-symmetric input, for every 1 ≤ N ≤ M ≤ 60. One batched core
-(`measure_shrinking_dicke`) measures input and output qubit, shrinking
-factor and fidelity for s inputs at once: it sends the (s, N+1, N+1)
-coordinates through the cached cloner table in one scatter-add and runs
-the reductions, Bloch vectors and every guard as array operations; the
-engine (`apply_cloner_dicke`) itself checks that every output keeps its
-input's trace. `certify_universality` draws its Haar tensor powers in
-chunks of s = BLOCK_ENTRIES // max((M+1)², table entries) samples (at
-least one), so neither the table terms nor the outputs of a
-chunk exceed `symspace.BLOCK_ENTRIES` complex entries, and keeps only
-running sums and extremes: memory does not grow with the sample count.
-The outputs are Dicke coordinates, so they lie on the symmetric subspace
-by construction, and certification never forms a 2^N or 2^M operator.
-`measure_shrinking` is the batch of one; it takes a full-space operator and
-gets its support check and coordinates from one pass (`symmetric_coords`).
+symmetric input, for every 1 ≤ N ≤ M ≤ 60, and forms one output qubit
+only: the engine moves input entry (a, b) to (a+w, b+w), so that qubit is
+linear in the input diagonal and superdiagonal through 2N+1 numbers per
+(N, M), sliced from the cloner table and cached (`_transfer`). One batched
+core (`measure_shrinking_dicke`) measures input and output qubit,
+shrinking factor and fidelity of s inputs (s, N+1, N+1) with two small
+products and runs every guard, trace kept within 1e-10 included, on
+arrays. `certify_universality` draws Haar tensor powers in chunks of
+s = max(1, BLOCK_ENTRIES // (N+1)²), whose input coordinates stay within
+`symspace.BLOCK_ENTRIES` complex entries, and keeps only running sums and
+extremes: memory does not grow with the sample count. Certification never
+forms a 2^N or 2^M operator nor an (M+1)×(M+1) output. `measure_shrinking`
+is the batch of one; it takes a full-space operator and gets its support
+check and coordinates from one pass (`symmetric_coords`).
 
-`apply_cloner` is the same engine embedded in the full space (M ≤ 12):
-V·apply_cloner_dicke(V†ρV)·V† with V the Dicke isometry. The dense 2^M
-channel remains only as an independent oracle in the tests.
+`apply_cloner_dicke` (one scatter-add over the cached table) gives whole
+outputs; `apply_cloner` embeds them in the full space (M ≤ 12) as
+V·apply_cloner_dicke(V†ρV)·V†, V the Dicke isometry. The dense 2^M channel
+remains only as an independent oracle in the tests.
 """
 
 from __future__ import annotations
@@ -120,6 +120,23 @@ def _dicke_table(n, m):
     return k, flat
 
 
+@lru_cache(maxsize=None)
+def _transfer(n, m):
+    """Read-only map to one clone's qubit: t_diag (N+1, 3) takes the input
+    diagonal to (p00, p11, trace), t_off (N,) the superdiagonal to p01. Only
+    k[w, a, a] and k[w, a, a+1] of `_dicke_table` enter (entry (a, b) goes to
+    (a+w, b+w)), weighted by (M-j)/M, j/M, 1 and sqrt((j+1)(M-j))/M, j = a+w."""
+    k, _ = _dicke_table(n, m)
+    j = np.arange(m - n + 1)[:, None] + np.arange(n + 1)  # (w, a) -> a + w
+    weights = np.stack(((m - j) / m, j / m, np.ones(j.shape)), axis=-1)
+    off_weights = np.sqrt((j[:, :-1] + 1) * (m - j[:, :-1])) / m
+    scale = (n + 1) / (m + 1)
+    t_diag = scale * np.sum(np.diagonal(k, axis1=1, axis2=2)[..., None] * weights, axis=0)
+    t_off = scale * np.sum(np.diagonal(k, 1, axis1=1, axis2=2) * off_weights, axis=0)
+    t_diag.flags.writeable = t_off.flags.writeable = False
+    return t_diag, t_off
+
+
 def apply_cloner_dicke(ch, coords_n):
     """Channel in Dicke coordinates: (N+1)x(N+1) in, (M+1)x(M+1) out; a
     batch (s, N+1, N+1) of inputs gives the batch (s, M+1, M+1) of outputs.
@@ -186,17 +203,25 @@ def _certify(ch, batches):
 
 def measure_shrinking_dicke(ch, coords):
     """Shrinking factor and direction-state fidelity of each input of the
-    batch `coords` (s, N+1, N+1), or of one input (N+1, N+1); raises if any
-    reduced input is degenerate, any output trace differs from its input
-    trace by more than 1e-10 (`apply_cloner_dicke`), any output Bloch vector
-    is rotated or any output qubit is not Hermitian."""
+    batch `coords` (s, N+1, N+1), or of one input (N+1, N+1), from the output
+    qubit through `_transfer`; raises if any reduced input is degenerate,
+    any output trace differs from its input trace by more than 1e-10, any
+    output Bloch vector is rotated or any output qubit is not Hermitian."""
+    _check_dicke(ch)
     s_in = bloch_of(reduced_qubit_from_dicke(coords))
     len_in = np.linalg.norm(s_in, axis=-1)
     if len_in.min() < MIN_BLOCH_LENGTH:
         raise DegenerateInputError(
             f"reduced input Bloch length {len_in.min():.2e} below {MIN_BLOCH_LENGTH:.0e}; "
             "shrinking factor undefined")
-    out_qubit = reduced_qubit_from_dicke(apply_cloner_dicke(ch, coords))
+    t_diag, t_off = _transfer(ch.n_in, ch.m_out)
+    diag = np.diagonal(coords, axis1=-2, axis2=-1)
+    p00, p11, trace = np.moveaxis(diag @ t_diag, -1, 0)
+    drift = np.abs(trace - np.sum(diag, axis=-1))
+    if drift.max() > 1e-10:
+        raise RuntimeError(f"channel output trace differs from input trace by {drift.max():.3e}")
+    p01 = np.diagonal(coords, 1, axis1=-2, axis2=-1) @ t_off
+    out_qubit = np.stack((p00, p01, np.conj(p01), p11), axis=-1).reshape(p00.shape + (2, 2))
     s_out = bloch_of(hermitize(out_qubit))
     len_out = np.linalg.norm(s_out, axis=-1)
     # Angle via the perpendicular residual; arccos of the normalized dot
@@ -218,10 +243,10 @@ def _direction_state(s):
 
 
 def _chunk_size(ch):
-    """Samples per certification batch: neither the table terms nor the
-    output coordinates of a batch exceed BLOCK_ENTRIES complex entries."""
-    n, m = ch.n_in, ch.m_out
-    return max(1, BLOCK_ENTRIES // max((m + 1) ** 2, (m - n + 1) * (n + 1) ** 2))
+    """Samples per certification batch: the input coordinates of a batch,
+    the only per-sample arrays held, stay within BLOCK_ENTRIES complex
+    entries (M does not enter: each output is one qubit)."""
+    return max(1, BLOCK_ENTRIES // (ch.n_in + 1) ** 2)
 
 
 def _haar_tensor_powers(rng, count, n):

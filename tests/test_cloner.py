@@ -1,5 +1,5 @@
 import tracemalloc
-from math import comb, sqrt
+from math import comb, factorial, sqrt
 
 import numpy as np
 import pytest
@@ -7,9 +7,11 @@ import pytest
 from qclone import cloner, symspace
 from qclone.bounds import eta_opt
 from qclone.cloner import (
+    DICKE_MAX,
     CloneChannel,
     _chunk_size,
     _dicke_table,
+    _transfer,
     apply_cloner,
     apply_cloner_dicke,
     certify_universality,
@@ -223,7 +225,7 @@ class TestDickePath:
     def test_table_is_read_only(self):
         k, flat = _dicke_table(3, 10)
         assert k.shape == (8, 4, 4) and flat.shape == (8 * 4 * 4,)
-        for arr in (k, flat):
+        for arr in (k, flat, *_transfer(3, 10)):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -295,9 +297,15 @@ class TestMeasureShrinking:
         ch = CloneChannel(2, 16)
         coords = symmetric_coords(tensor_power_input(PLUS, 2))
         measure_shrinking_dicke(ch, np.stack([coords, coords]))
+        # the cached transfer map is sliced from the table: drop it on both
+        # sides so the perturbed (2, 16) map neither is missed nor outlives the test
+        _transfer.cache_clear()
         monkeypatch.setattr(cloner, "_dicke_table", perturbed)
-        with pytest.raises(RuntimeError, match="trace"):
-            measure_shrinking_dicke(ch, np.stack([coords, coords]))
+        try:
+            with pytest.raises(RuntimeError, match="trace"):
+                measure_shrinking_dicke(ch, np.stack([coords, coords]))
+        finally:
+            _transfer.cache_clear()
 
     @pytest.mark.parametrize("n,m", [(1, 3), (2, 4), (2, 6), (3, 7)])
     def test_mixed_symmetric_inputs_shrink_linearly(self, n, m):
@@ -348,8 +356,10 @@ class TestUniversality:
 
     @pytest.mark.parametrize("n,m,samples,chunk", [(6, 60, 50, 8), (1, 16, 300, 113),
                                                    (2, 8, 20, 404), (3, 10, 5, 256)])
-    def test_matches_loop_oracle(self, n, m, samples, chunk):
-        # sample counts that cross several chunk boundaries, and single chunks
+    def test_matches_loop_oracle(self, n, m, samples, chunk, monkeypatch):
+        # sample counts that cross several chunk boundaries, and single chunks;
+        # the block is shrunk so that small sample counts span several chunks
+        monkeypatch.setattr(cloner, "BLOCK_ENTRIES", chunk * (n + 1) ** 2)
         ch = CloneChannel(n, m)
         assert _chunk_size(ch) == chunk
         rep = certify_universality(ch, samples, seed=21)
@@ -376,9 +386,10 @@ class TestUniversality:
 
     def test_memory_does_not_grow_with_samples(self):
         ch = CloneChannel(6, 60)
-        certify_universality(ch, 2, seed=3)   # fill the table cache outside the measurement
+        certify_universality(ch, 2, seed=3)   # fill the map cache outside the measurement
+        assert _chunk_size(ch) < 1500
         peaks = []
-        for samples in (100, 2000):
+        for samples in (1500, 15000):         # both span more than one chunk
             tracemalloc.start()
             try:
                 certify_universality(ch, samples, seed=3)
@@ -386,6 +397,63 @@ class TestUniversality:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] * 1.01
+
+
+class TestTransfer:
+    def test_exact_certificate(self):
+        # The map is the paper's, in integers, on the whole triangle: τ_a = 1,
+        # p11(E_aa) = 1/2 + η(a/N − 1/2) and p01(E_{a,a+1}) = η √((a+1)(N−a))/N,
+        # η = N(M+2)/(M(N+2)). The square roots cancel in the last ratio. With
+        # C(N,a)/C(M,j) = C(N,a) j!(M−j)!/M!, every sum over w shares the
+        # denominator (M+1)!, and each identity is one cross-multiplication.
+        fact = [factorial(i) for i in range(DICKE_MAX + 2)]
+        for m in range(1, DICKE_MAX + 1):
+            split = [fact[j] * fact[m - j] for j in range(m + 1)]   # j!(M−j)!
+            for n in range(1, m + 1):
+                cw = [comb(m - n, w) for w in range(m - n + 1)]
+                for a in range(n + 1):
+                    lead = (n + 1) * comb(n, a)
+                    terms = [c * split[a + w] for w, c in enumerate(cw)]
+                    # τ_a = lead Σ terms / (M+1)!
+                    assert lead * sum(terms) == fact[m + 1]
+                    # p11 = lead Σ terms·j / (M (M+1)!) = (M(N+2) + (M+2)(2a−N)) / (2M(N+2))
+                    s1 = sum(t * (a + w) for w, t in enumerate(terms))
+                    assert 2 * (n + 2) * lead * s1 == \
+                        (m * (n + 2) + (m + 2) * (2 * a - n)) * fact[m + 1]
+                    if a < n:
+                        # p01 / (√((a+1)(N−a))/N) = lead N Σ terms·(j+1) / (M (a+1) (M+1)!) = η
+                        s2 = sum(t * (a + w + 1) for w, t in enumerate(terms))
+                        assert (n + 2) * lead * s2 == (m + 2) * (a + 1) * fact[m + 1]
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 60), (4, 12), (6, 60), (30, 60), (60, 60)])
+    def test_matches_engine_on_matrix_units(self, n, m):
+        # the whole-output engine stays the reference: its reduction and trace
+        # on the 2N+1 units E_aa and E_{a,a+1}
+        t_diag, t_off = _transfer(n, m)
+        assert t_diag.shape == (n + 1, 3) and t_off.shape == (n,)
+        units = np.zeros((2 * n + 1, n + 1, n + 1), dtype=complex)
+        a = np.arange(n + 1)
+        units[a, a, a] = 1
+        units[n + 1 + a[:-1], a[:-1], a[:-1] + 1] = 1
+        out = apply_cloner_dicke(CloneChannel(n, m), units)
+        reduced = reduced_qubit_from_dicke(out)
+        trace = np.trace(out, axis1=-2, axis2=-1)
+        assert np.max(np.abs(reduced[:n + 1, 0, 0] - t_diag[:, 0])) <= 1e-15
+        assert np.max(np.abs(reduced[:n + 1, 1, 1] - t_diag[:, 1])) <= 1e-15
+        assert np.max(np.abs(trace[:n + 1] - t_diag[:, 2])) <= 1e-15
+        assert np.max(np.abs(reduced[n + 1:, 0, 1] - t_off)) <= 1e-15
+        # and the closed forms of the exact certificate, in floats
+        eta = float(eta_opt(n, m))
+        assert np.max(np.abs(t_diag[:, 2] - 1)) <= 1e-14
+        assert np.max(np.abs(t_diag[:, 1] - (0.5 + eta * (a / n - 0.5)))) <= 1e-14
+        assert np.max(np.abs(t_off - eta * np.sqrt((a[:-1] + 1) * (n - a[:-1])) / n)) <= 1e-14
+
+    def test_chunk_holds_inputs_only(self):
+        # samples per chunk depend on N alone: the outputs are one qubit each
+        for m in (6, 16, 60):
+            assert _chunk_size(CloneChannel(6, m)) == symspace.BLOCK_ENTRIES // 49 == 668
+        assert _chunk_size(CloneChannel(1, 16)) == 8192
+        assert _chunk_size(CloneChannel(60, 60)) == 8
 
 
 class TestTensorPowerInput:
