@@ -38,7 +38,7 @@ from .estimator import (
 )
 from .linalg import bloch_of, haar_random_pure, min_eigenvalue, partial_trace, rng_from_seed
 from .symspace import (pseudo_mixture_decompose_dicke, random_symmetric_dicke,
-                       reduced_qubit_from_dicke, symmetric_residual, tensor_power_dicke)
+                       reduced_qubit_from_dicke, symmetric_floor, tensor_power_dicke)
 
 DEFAULT_TOL = 1e-9
 
@@ -272,16 +272,22 @@ def run_verify_all(seed, samples, tol):
 def _sanity_checks(n, m, seed):
     """Channel sanity on the 2^M-dim output of `apply_cloner`, the Dicke
     engine's output embedded in the full space: trace, positivity, the
-    symmetric residual max|out - S out S| and identical reductions."""
+    symmetric residual max|out - S out S| and identical reductions.
+
+    One support pass (`symmetric_floor`) gives the residual and a Weyl lower
+    bound on the least eigenvalue of out; positivity holds when that floor
+    is at least -1e-10, and only an inconclusive floor falls back to the
+    dense 2^M eigensolve, so the flag is the dense verdict either way."""
     ch = CloneChannel(n, m)
     psi = haar_random_pure(rng_from_seed(seed))
     out = apply_cloner(ch, tensor_power_input(psi, n))
+    resid, floor = symmetric_floor(out)
     checks = [
         _check("sanity-trace", 1.0, float(out.trace().real), 1e-12, n=n, m=m),
-        _flag("sanity-min-eigenvalue", min_eigenvalue(out) >= -1e-10, n=n, m=m),
+        _flag("sanity-min-eigenvalue", floor >= -1e-10 or min_eigenvalue(out) >= -1e-10,
+              n=n, m=m),
+        _check("sanity-symmetric-residual", 0.0, resid, 1e-11, n=n, m=m),
     ]
-    checks.append(_check("sanity-symmetric-residual", 0.0, symmetric_residual(out),
-                         1e-11, n=n, m=m))
     reductions = [partial_trace(out, {q}, m) for q in range(m)]
     dev = max(float(np.max(np.abs(r - reductions[0]))) for r in reductions)
     checks.append(_check("sanity-reductions-identical", 0.0, dev, 1e-11, n=n, m=m))
@@ -441,6 +447,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:   # a physics guard (trace, rotation, residual, draw) tripped
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     config = {k: getattr(args, k, None)
               for k in ("command", "n", "m", "l", "samples", "seed", "tol", "output_format")}

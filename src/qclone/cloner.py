@@ -12,7 +12,8 @@ Certification works on Dicke coordinates, a complete description of a
 symmetric input, for every 1 ≤ N ≤ M ≤ 60, and forms one output qubit
 only: the engine moves input entry (a, b) to (a+w, b+w), so that qubit is
 linear in the input diagonal and superdiagonal through 2N+1 numbers per
-(N, M), sliced from the cloner table and cached (`_transfer`). One batched
+(N, M), formed from the cloner table's factors and cached (`_transfer`;
+the whole table is cached only for `apply_cloner_dicke`). One batched
 core (`measure_shrinking_dicke`) measures input and output qubit,
 shrinking factor and fidelity of s inputs (s, N+1, N+1) with two small
 products and runs every guard, trace kept within 1e-10 included, on
@@ -103,16 +104,24 @@ def _check_dicke(ch):
         raise ValueError(f"dicke path limited to m_out <= {DICKE_MAX}")
 
 
-@lru_cache(maxsize=None)
-def _dicke_table(n, m):
-    """Read-only coefficients k[w, a, b] = (C(M-N,w) amp[w,a]) amp[w,b], with
-    amp[w, a] = sqrt(C(N,a) / C(M,a+w)), and the flat index (a+w)(M+1) + b+w
-    of out[a+w, b+w] that each term lands on, in (w, a, b) order."""
+def _amplitudes(n, m):
+    """The two factors of the cloner table, (M-N+1, N+1) each, uncached:
+    C(M-N,w) amp[w,a] and amp[w,a] = sqrt(C(N,a) / C(M,a+w)), so that
+    k[w, a, b] = (C(M-N,w) amp[w,a]) amp[w,b]."""
     ws = range(m - n + 1)
     amp = np.array([[sqrt(comb(n, a) / comb(m, a + w)) for a in range(n + 1)]
                     for w in ws])
     cw = np.array([float(comb(m - n, w)) for w in ws])
-    k = (cw[:, None] * amp)[:, :, None] * amp[:, None, :]
+    return cw[:, None] * amp, amp
+
+
+@lru_cache(maxsize=None)
+def _dicke_table(n, m):
+    """Read-only coefficients k[w, a, b] of `_amplitudes` and the flat index
+    (a+w)(M+1) + b+w of out[a+w, b+w] that each term lands on, in (w, a, b)
+    order."""
+    left, amp = _amplitudes(n, m)
+    k = left[:, :, None] * amp[:, None, :]
     rows = np.arange(m - n + 1)[:, None] + np.arange(n + 1)[None, :]  # a + w
     flat = (rows[:, :, None] * (m + 1) + rows[:, None, :]).ravel()
     for arr in (k, flat):
@@ -124,15 +133,17 @@ def _dicke_table(n, m):
 def _transfer(n, m):
     """Read-only map to one clone's qubit: t_diag (N+1, 3) takes the input
     diagonal to (p00, p11, trace), t_off (N,) the superdiagonal to p01. Only
-    k[w, a, a] and k[w, a, a+1] of `_dicke_table` enter (entry (a, b) goes to
-    (a+w, b+w)), weighted by (M-j)/M, j/M, 1 and sqrt((j+1)(M-j))/M, j = a+w."""
-    k, _ = _dicke_table(n, m)
+    k[w, a, a] and k[w, a, a+1] of the table enter (entry (a, b) goes to
+    (a+w, b+w)), weighted by (M-j)/M, j/M, 1 and sqrt((j+1)(M-j))/M, j = a+w.
+    They are formed from `_amplitudes`, so no (M-N+1)(N+1)² table is built
+    or cached for certification."""
+    left, amp = _amplitudes(n, m)
     j = np.arange(m - n + 1)[:, None] + np.arange(n + 1)  # (w, a) -> a + w
     weights = np.stack(((m - j) / m, j / m, np.ones(j.shape)), axis=-1)
     off_weights = np.sqrt((j[:, :-1] + 1) * (m - j[:, :-1])) / m
     scale = (n + 1) / (m + 1)
-    t_diag = scale * np.sum(np.diagonal(k, axis1=1, axis2=2)[..., None] * weights, axis=0)
-    t_off = scale * np.sum(np.diagonal(k, 1, axis1=1, axis2=2) * off_weights, axis=0)
+    t_diag = scale * np.sum((left * amp)[..., None] * weights, axis=0)
+    t_off = scale * np.sum(left[:, :-1] * amp[:, 1:] * off_weights, axis=0)
     t_diag.flags.writeable = t_off.flags.writeable = False
     return t_diag, t_off
 

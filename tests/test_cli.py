@@ -1,10 +1,15 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from qclone import cli, cloner, linalg
 from qclone.cli import build_parser, main, run_concat
+from qclone.cloner import CloneChannel, apply_cloner, tensor_power_input
 from qclone.estimator import MAX_SHOTS
+from qclone.linalg import haar_random_pure, min_eigenvalue, rng_from_seed
+from qclone.symspace import embed_dicke, symmetric_floor
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +121,102 @@ class TestVerifyAll:
         assert report["results"]["n_failed"] == 0
         for c in report["checks"]:
             assert set(c) >= {"name", "expected", "actual", "tolerance", "pass"}
+
+
+def counted_min_eigenvalue(monkeypatch):
+    """Count the dense eigensolves of `linalg.min_eigenvalue`, under every
+    name it is bound to."""
+    calls = []
+
+    def counting(op):
+        calls.append(np.shape(op))
+        return min_eigenvalue(op)
+
+    for module in (cli, linalg):
+        monkeypatch.setattr(module, "min_eigenvalue", counting)
+    return calls
+
+
+def positivity_row(checks):
+    (row,) = [c for c in checks if c["name"] == "sanity-min-eigenvalue"]
+    return row
+
+
+class TestSanityPositivity:
+    def test_floor_agrees_with_dense_over_seeds(self, monkeypatch):
+        # every _sanity_checks cell of verify-all at seeds 1-20: the Weyl floor
+        # is below the dense least eigenvalue and the row has the dense verdict
+        cells = {(n, m, seed + 997 + 31 * n + m)
+                 for seed in range(1, 21) for n in range(1, 5) for m in range(n, 9)}
+        assert len(cells) == 520
+        seen = []
+        monkeypatch.setattr(cli, "symmetric_floor", lambda op: seen.append(op) or symmetric_floor(op))
+        for n, m, cell_seed in sorted(cells):
+            checks = cli._sanity_checks(n, m, cell_seed)
+            (out,) = seen
+            seen.clear()
+            resid, floor = symmetric_floor(out)
+            dense = min_eigenvalue(out)
+            assert floor <= dense + 1e-13, (n, m, cell_seed)
+            assert positivity_row(checks)["pass"] == (dense >= -1e-10) == (floor >= -1e-10)
+            (row,) = [c for c in checks if c["name"] == "sanity-symmetric-residual"]
+            assert row["actual"] == resid
+
+    @pytest.mark.parametrize("lam,verdict", [(-1e-9, False), (-1e-11, True)])
+    def test_embedded_eigenvalue_decides(self, monkeypatch, lam, verdict):
+        # a symmetric output with least eigenvalue lam: -1e-9 fails and -1e-11
+        # passes; the floor is within rounding of lam, so only the failing
+        # one is inconclusive and goes to the dense route
+        rng = rng_from_seed(910)
+        q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+        out = embed_dicke((q * [lam, 0.1, 0.2, 0.3, 0.4 - lam]) @ q.conj().T)
+        monkeypatch.setattr(cli, "apply_cloner", lambda ch, rho: out)
+        calls = counted_min_eigenvalue(monkeypatch)
+        assert positivity_row(cli._sanity_checks(2, 4, 1))["pass"] is verdict
+        assert calls == ([] if verdict else [(16, 16)])
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_off_subspace_weight_goes_dense(self, monkeypatch, sign):
+        # weight 1e-6 outside the symmetric subspace makes the bound
+        # inconclusive; the dense eigensolve then decides both ways
+        singlet = np.kron([0, 1, -1, 0], [1, 0, 0, 0]) / np.sqrt(2)
+        psi = haar_random_pure(rng_from_seed(920))
+        out = apply_cloner(CloneChannel(1, 4), tensor_power_input(psi, 1))
+        out = out + sign * 1e-6 * np.outer(singlet, singlet)
+        assert symmetric_floor(out)[1] < -1e-10
+        monkeypatch.setattr(cli, "apply_cloner", lambda ch, rho: out)
+        calls = counted_min_eigenvalue(monkeypatch)
+        assert positivity_row(cli._sanity_checks(1, 4, 1))["pass"] is (sign > 0)
+        assert calls == [(16, 16)]
+        assert (min_eigenvalue(out) >= -1e-10) is (sign > 0)
+
+    def test_verify_all_runs_no_dense_eigensolve(self, monkeypatch):
+        calls = counted_min_eigenvalue(monkeypatch)
+        results, _ = cli.run_verify_all(1, 50, 1e-9)
+        assert results["n_failed"] == 0
+        assert calls == []
+
+
+def test_physics_guard_exits_1_without_traceback(capsys, monkeypatch):
+    # a table coefficient off by 1e-6 at (2, 16) trips the trace guard
+    # inside certification; the run stops with one error line and exit 1
+    amplitudes = cloner._amplitudes
+
+    def perturbed(n, m):
+        left, amp = amplitudes(n, m)
+        left = left.copy()
+        left[0, 1] += 1e-6
+        return left, amp
+
+    cloner._transfer.cache_clear()
+    monkeypatch.setattr(cloner, "_amplitudes", perturbed)
+    try:
+        code, out, err = run_cli(capsys, "clone", "--n", "2", "--m", "16", "--samples", "2")
+    finally:
+        cloner._transfer.cache_clear()
+    assert code == 1 and out == ""
+    assert err.startswith("error: channel output trace differs")
+    assert "Traceback" not in err
 
 
 CLONE = ["clone", "--n", "1", "--m", "2", "--samples", "2"]

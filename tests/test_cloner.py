@@ -6,6 +6,7 @@ import pytest
 
 from qclone import cloner, symspace
 from qclone.bounds import eta_opt
+from qclone.cli import main
 from qclone.cloner import (
     DICKE_MAX,
     CloneChannel,
@@ -285,22 +286,23 @@ class TestMeasureShrinking:
             measure_shrinking_dicke(ch, np.stack([good, good, skew]))
 
     def test_trace_guard(self, monkeypatch):
-        # one diagonal table coefficient off by 1e-6 at M = 16 breaks trace preservation
-        table = cloner._dicke_table
+        # one table factor off by 1e-6 at M = 16 moves the diagonal
+        # coefficient k[0, 1, 1] and breaks trace preservation
+        amplitudes = cloner._amplitudes
 
         def perturbed(n, m):
-            k, flat = table(n, m)
-            k = k.copy()
-            k[0, 1, 1] += 1e-6
-            return k, flat
+            left, amp = amplitudes(n, m)
+            left = left.copy()
+            left[0, 1] += 1e-6
+            return left, amp
 
         ch = CloneChannel(2, 16)
         coords = symmetric_coords(tensor_power_input(PLUS, 2))
         measure_shrinking_dicke(ch, np.stack([coords, coords]))
-        # the cached transfer map is sliced from the table: drop it on both
-        # sides so the perturbed (2, 16) map neither is missed nor outlives the test
+        # the cached transfer map is formed from the table factors: drop it on
+        # both sides so the perturbed (2, 16) map neither is missed nor outlives the test
         _transfer.cache_clear()
-        monkeypatch.setattr(cloner, "_dicke_table", perturbed)
+        monkeypatch.setattr(cloner, "_amplitudes", perturbed)
         try:
             with pytest.raises(RuntimeError, match="trace"):
                 measure_shrinking_dicke(ch, np.stack([coords, coords]))
@@ -447,6 +449,38 @@ class TestTransfer:
         assert np.max(np.abs(t_diag[:, 2] - 1)) <= 1e-14
         assert np.max(np.abs(t_diag[:, 1] - (0.5 + eta * (a / n - 0.5)))) <= 1e-14
         assert np.max(np.abs(t_off - eta * np.sqrt((a[:-1] + 1) * (n - a[:-1])) / n)) <= 1e-14
+
+    def test_map_is_bit_equal_to_table_slices(self):
+        # the map formed from the table factors equals, bit for bit, the
+        # diagonals of the whole table weighted as the reduction reads them
+        cells = [(n, m) for m in range(1, 21) for n in range(1, m + 1)]
+        for n, m in cells + [(4, 40), (6, 60), (30, 60), (59, 60), (60, 60)]:
+            k, _ = _dicke_table(n, m)
+            j = np.arange(m - n + 1)[:, None] + np.arange(n + 1)
+            weights = np.stack(((m - j) / m, j / m, np.ones(j.shape)), axis=-1)
+            off_weights = np.sqrt((j[:, :-1] + 1) * (m - j[:, :-1])) / m
+            scale = (n + 1) / (m + 1)
+            t_diag = scale * np.sum(np.diagonal(k, axis1=1, axis2=2)[..., None] * weights, axis=0)
+            t_off = scale * np.sum(np.diagonal(k, 1, axis1=1, axis2=2) * off_weights, axis=0)
+            got_diag, got_off = _transfer(n, m)
+            assert got_diag.tobytes() == t_diag.tobytes() and got_diag.shape == t_diag.shape
+            assert got_off.tobytes() == t_off.tobytes() and got_off.shape == t_off.shape
+        _dicke_table.cache_clear()
+
+    def test_certification_caches_no_table(self, capsys):
+        # certification reads only the map: the whole-output table, (M-N+1)(N+1)²
+        # floats per cell, is built and cached by apply_cloner_dicke alone
+        _dicke_table.cache_clear()
+        _transfer.cache_clear()
+        for n, m in [(1, 2), (3, 10), (6, 60), (30, 60)]:
+            certify_universality(CloneChannel(n, m), 5, n + m)
+        measure_shrinking(CloneChannel(2, 40), tensor_power_input(PLUS, 2))
+        assert main(["clone", "--n", "4", "--m", "50", "--samples", "3"]) == 0
+        capsys.readouterr()
+        assert _transfer.cache_info().currsize == 6
+        assert _dicke_table.cache_info().currsize == 0
+        apply_cloner_dicke(CloneChannel(3, 10), np.eye(4) / 4)
+        assert _dicke_table.cache_info().currsize == 1
 
     def test_chunk_holds_inputs_only(self):
         # samples per chunk depend on N alone: the outputs are one qubit each
