@@ -156,45 +156,83 @@ def run_estimate(m, shots, seed, tol):
 
 
 def run_concat(n, m, l, seed, tol):
-    first, second, direct = CloneChannel(n, m), CloneChannel(m, l), CloneChannel(n, l)
-    v = tensor_power_dicke(haar_random_pure(rng_from_seed(seed)), n)
-    coords = np.outer(v, v.conj())
-    eta1 = float(measure_shrinking_dicke(first, coords)[0])
-    eta2 = float(measure_shrinking_dicke(second, apply_cloner_dicke(first, coords))[0])
-    eta_chain = eta1 * eta2
-    eta_direct = float(measure_shrinking_dicke(direct, coords)[0])
-    exact = bd.eta_opt(n, l)
-    checks = [
-        _check("concat-chain-eta", exact, eta_chain, tol, n=n, m=m, l=l),
-        _check("concat-direct-eta", exact, eta_direct, tol, n=n, m=m, l=l),
-        _check("concat-product-vs-direct", eta_direct, eta_chain, tol, n=n, m=m, l=l),
-    ]
-    results = {
-        "n": n, "m": m, "l": l, "seed": seed,
-        "eta_stage1": eta1, "eta_stage2": eta2,
-        "eta_chain": eta_chain, "eta_direct": eta_direct,
-        "eta_exact": f"{exact.numerator}/{exact.denominator}",
-    }
-    return results, checks
+    """Chain multiplicativity for one (n, m, l): the batch of one."""
+    return run_concat_chains([(n, m, l, seed)], tol)[0]
+
+
+def run_concat_chains(chains, tol):
+    """(results, checks) of each chain (n, m, l, seed), in chain order. Each channel
+    runs once, on the stacked inputs of every chain through it; every channel is
+    built before any input is drawn."""
+    channels = {key: CloneChannel(*key)
+                for n, m, l, _ in chains for key in ((n, m), (m, l), (n, l))}
+    coords, mids, etas = [], {}, []
+    for n, _, _, seed in chains:
+        v = tensor_power_dicke(haar_random_pure(rng_from_seed(seed)), n)
+        coords.append(np.outer(v, v.conj()))
+    for a, b in ((0, 1), (0, 2), (1, 2)):   # stage 1, direct, stage 2 on the stage-1 outputs
+        groups, eta = {}, np.empty(len(chains))
+        for i, c in enumerate(chains):
+            groups.setdefault((c[a], c[b]), []).append(i)
+        for key, idx in groups.items():
+            batch = np.stack([(mids if a else coords)[i] for i in idx])
+            eta[idx] = measure_shrinking_dicke(channels[key], batch)[0]
+            if b == 1:   # stage 1 keeps its outputs for stage 2
+                mids.update(zip(idx, apply_cloner_dicke(channels[key], batch)))
+        etas.append(eta.tolist())
+    reports = []
+    for (n, m, l, seed), e1, direct, e2 in zip(chains, *etas):
+        chain, exact = e1 * e2, bd.eta_opt(n, l)
+        checks = [
+            _check("concat-chain-eta", exact, chain, tol, n=n, m=m, l=l),
+            _check("concat-direct-eta", exact, direct, tol, n=n, m=m, l=l),
+            _check("concat-product-vs-direct", direct, chain, tol, n=n, m=m, l=l),
+        ]
+        results = {
+            "n": n, "m": m, "l": l, "seed": seed,
+            "eta_stage1": e1, "eta_stage2": e2,
+            "eta_chain": chain, "eta_direct": direct,
+            "eta_exact": f"{exact.numerator}/{exact.denominator}",
+        }
+        reports.append((results, checks))
+    return reports
 
 
 def _ledger_grid_checks():
     """Exact ledger grid: all chains up to 50, plus monotonicity, over the values
-    eta_opt(n, m) = p/q, 1 <= n <= m <= 51, compared by integer cross-multiplication."""
-    eta = {(n, m): bd.eta_opt(n, m).as_integer_ratio() for n in range(1, 52) for m in range(n, 52)}
+    eta_opt(n, m) = p/q, 1 <= n <= m <= 51, compared by integer cross-multiplication
+    in int64: one upper-triangular (m, l) block of chains per n."""
+    p, q = np.zeros((2, 52, 52), np.int64)
+    for n in range(1, 52):
+        for m in range(n, 52):
+            p[n, m], q[n, m] = bd.eta_opt(n, m).as_integer_ratio()
+    if int(max(p.max(), q.max())) ** 3 >= 2 ** 63:   # every product below has three factors
+        raise OverflowError("ledger grid products exceed int64")
     bad = total = 0
     for n in range(1, 51):
-        for m in range(n, 51):
-            p1, q1 = eta[n, m]
-            for l in range(m, 51):
-                total += 1
-                (p2, q2), (p3, q3) = eta[m, l], eta[n, l]
-                bad += p1 * p2 * q3 != p3 * q1 * q2
-    steps = [(eta[n, m + 1], eta[n, m]) for n in range(1, 51) for m in range(n, 51)] + \
-            [(eta[n, m], eta[n + 1, m]) for m in range(2, 51) for n in range(1, min(m, 50))]
-    mono = all(p1 * q2 < p2 * q1 for (p1, q1), (p2, q2) in steps)   # each step increases
+        k, upper = slice(n, 51), np.triu(np.ones((51 - n, 51 - n), bool))
+        # p1 p2 q3 == p3 q1 q2 for eta(n, m) eta(m, l) == eta(n, l), m rows and l columns
+        bad += np.count_nonzero((p[n, k, None] * p[k, k] * q[n, k]
+                                 != q[n, k, None] * q[k, k] * p[n, k]) & upper)
+        total += np.count_nonzero(upper)
+    upper = np.triu(np.ones((50, 50), bool))
+    down_m = p[1:51, 2:52] * q[1:51, 1:51] < p[1:51, 1:51] * q[1:51, 2:52]  # eta(n, m+1) < eta(n, m)
+    up_n = p[1:50, 2:51] * q[2:51, 2:51] < p[2:51, 2:51] * q[1:50, 2:51]    # eta(n, m) < eta(n+1, m)
+    mono = bool(np.all(down_m, where=upper) and np.all(up_n, where=upper[1:, 1:]))
     return [_flag(f"ledger-chain-identity-grid-50 ({total} triples)", bad == 0),
             _flag("ledger-monotonicity-grid-50", mono)]
+
+
+def clone_cells(seed):
+    """The verify-all cloning grid N <= 4, M <= 8: (n, m, clone seed, sanity seed)."""
+    return [(n, m, seed + 31 * n + m, seed + 997 + 31 * n + m)
+            for n in range(1, 5) for m in range(n, 9)]
+
+
+def concat_chains(seed):
+    """The verify-all concatenation chains, N <= 4, L <= 8: (n, m, l, seed)."""
+    return [(n, m, l, seed + 7 * n + 5 * m + l)
+            for n in range(1, 5) for m in range(n, 9) for l in range(m, 9)]
 
 
 def run_verify_all(seed, samples, tol):
@@ -202,20 +240,11 @@ def run_verify_all(seed, samples, tol):
         raise ValueError(f"samples must be at most {MAX_SHOTS // 200}: Monte Carlo cells "
                          f"draw 200 shots per sample, at most {MAX_SHOTS}")
     checks = _ledger_grid_checks()
-
-    # Cloning grid N <= 4, M <= 8.
-    for n in range(1, 5):
-        for m in range(n, 9):
-            _, cs = run_clone(n, m, samples, seed + 31 * n + m, tol)
-            checks.extend(cs)
-            checks.extend(_sanity_checks(n, m, seed + 997 + 31 * n + m))
-
-    # Concatenation chains, L <= 8.
-    for n in range(1, 5):
-        for m in range(n, 9):
-            for l in range(m, 9):
-                _, cs = run_concat(n, m, l, seed + 7 * n + 5 * m + l, tol)
-                checks.extend(cs)
+    for n, m, clone_seed, sanity_seed in clone_cells(seed):
+        checks.extend(run_clone(n, m, samples, clone_seed, tol)[1])
+        checks.extend(_sanity_checks(n, m, sanity_seed))
+    for _, cs in run_concat_chains(concat_chains(seed), tol):
+        checks.extend(cs)
 
     # Estimation: exact M <= 5, Monte Carlo M <= 3.
     for m in range(1, 6):

@@ -1,15 +1,17 @@
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qclone import cli, cloner, linalg
+from qclone import bounds, cli, cloner, linalg
 from qclone.cli import build_parser, main, run_concat
-from qclone.cloner import CloneChannel, apply_cloner, tensor_power_input
+from qclone.cloner import (CloneChannel, apply_cloner, apply_cloner_dicke,
+                           measure_shrinking_dicke, tensor_power_input)
 from qclone.estimator import MAX_SHOTS
 from qclone.linalg import haar_random_pure, min_eigenvalue, rng_from_seed
-from qclone.symspace import embed_dicke, symmetric_floor
+from qclone.symspace import embed_dicke, symmetric_floor, tensor_power_dicke
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +103,92 @@ class TestConcatCommand:
         assert peak < 4e6
 
 
+def single_input_etas(n, m, l, seed):
+    """Stage-1, stage-2 and direct shrinking factors of one chain, one
+    single-input core call each: the reference for the batched runner."""
+    v = tensor_power_dicke(haar_random_pure(rng_from_seed(seed)), n)
+    coords = np.outer(v, v.conj())
+    first = CloneChannel(n, m)
+    return (float(measure_shrinking_dicke(first, coords)[0]),
+            float(measure_shrinking_dicke(CloneChannel(m, l), apply_cloner_dicke(first, coords))[0]),
+            float(measure_shrinking_dicke(CloneChannel(n, l), coords)[0]))
+
+
+class TestConcatBatch:
+    @pytest.mark.parametrize("n,m,l,seed", [(1, 1, 1, 1), (6, 30, 60, 1), (1, 2, 4, 5),
+                                            (3, 5, 9, 2), (4, 12, 12, 7), (60, 60, 60, 3)])
+    def test_batch_of_one_is_single_input_path(self, n, m, l, seed):
+        # bit-identical, so concat reports keep their bytes
+        results, _ = run_concat(n, m, l, seed, 1e-9)
+        e1, e2, direct = single_input_etas(n, m, l, seed)
+        assert (results["eta_stage1"], results["eta_stage2"], results["eta_direct"]) == (e1, e2, direct)
+        assert results["eta_chain"] == e1 * e2
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_batched_rows_match_per_chain_rows(self, seed):
+        chains = cli.concat_chains(seed)
+        assert len(chains) == 100
+        batched = cli.run_concat_chains(chains, 1e-9)
+        keys = ("name", "n", "m", "l", "expected", "tolerance", "pass")
+        for (n, m, l, chain_seed), (_, rows) in zip(chains, batched, strict=True):
+            _, single = run_concat(n, m, l, chain_seed, 1e-9)
+            assert [[c[k] for k in keys] for c in rows] == [[c[k] for k in keys] for c in single]
+            for b, s in zip(rows, single):
+                assert abs(b["actual"] - s["actual"]) <= 1e-14, (b["name"], n, m, l)
+
+    def test_verify_all_makes_one_core_call_per_channel(self, monkeypatch):
+        # 26 stage-1 groups (n, m), 26 direct groups (n, l) and 36 stage-2
+        # groups (m, l), then the three mixed-input cells
+        calls = []
+
+        def counting(ch, coords):
+            calls.append(((ch.n_in, ch.m_out), len(coords) if np.ndim(coords) == 3 else None))
+            return measure_shrinking_dicke(ch, coords)
+
+        monkeypatch.setattr(cli, "measure_shrinking_dicke", counting)
+        cli.run_verify_all(1, 2, 1e-9)
+        chains = cli.concat_chains(1)
+        assert calls[88:] == [((1, 3), None), ((2, 4), None), ((3, 5), None)]
+        for (start, stop), (a, b) in zip([(0, 26), (26, 52), (52, 88)], [(0, 1), (0, 2), (1, 2)]):
+            stage = calls[start:stop]
+            assert [key for key, _ in stage] == list(dict.fromkeys((c[a], c[b]) for c in chains))
+            assert sum(size for _, size in stage) == 100
+
+
+class TestLedgerGrid:
+    def test_flags_hold(self):
+        chain, mono = cli._ledger_grid_checks()
+        assert chain["name"] == "ledger-chain-identity-grid-50 (22100 triples)"
+        assert chain["pass"] and mono["pass"]
+
+    def test_perturbed_value_breaks_chain(self, monkeypatch):
+        eta_opt = bounds.eta_opt
+
+        def perturbed(n, m):
+            eta = eta_opt(n, m)
+            return Fraction(eta.numerator + 1, eta.denominator) if (n, m) == (7, 19) else eta
+
+        monkeypatch.setattr(bounds, "eta_opt", perturbed)
+        assert cli._ledger_grid_checks()[0]["pass"] is False
+
+    @pytest.mark.parametrize("source", [
+        lambda n, m: (n, m - 1) if (n, m) == (12, 30) else (n, m),   # eta(12, 30) = eta(12, 29)
+        lambda n, m: (12, m) if n == 13 else (n, m),                 # row 13 = row 12
+    ], ids=["m-step", "n-step"])
+    def test_flat_step_breaks_monotonicity(self, monkeypatch, source):
+        # each patch leaves every step of the other kind increasing
+        eta_opt = bounds.eta_opt
+        monkeypatch.setattr(bounds, "eta_opt", lambda n, m: eta_opt(*source(n, m)))
+        assert cli._ledger_grid_checks()[1]["pass"] is False
+
+    def test_products_beyond_int64_refused(self, monkeypatch):
+        eta_opt = bounds.eta_opt
+        big = Fraction(2 ** 21 + 1, 2 ** 21 + 2)
+        monkeypatch.setattr(bounds, "eta_opt", lambda n, m: big if (n, m) == (7, 19) else eta_opt(n, m))
+        with pytest.raises(OverflowError):
+            cli._ledger_grid_checks()
+
+
 class TestVerifyAll:
     def test_deterministic_reports(self, tmp_path, capsys):
         # small sample count to keep the suite quick; byte-identity is the point
@@ -146,8 +234,8 @@ class TestSanityPositivity:
     def test_floor_agrees_with_dense_over_seeds(self, monkeypatch):
         # every _sanity_checks cell of verify-all at seeds 1-20: the Weyl floor
         # is below the dense least eigenvalue and the row has the dense verdict
-        cells = {(n, m, seed + 997 + 31 * n + m)
-                 for seed in range(1, 21) for n in range(1, 5) for m in range(n, 9)}
+        cells = {(n, m, sanity_seed)
+                 for seed in range(1, 21) for n, m, _, sanity_seed in cli.clone_cells(seed)}
         assert len(cells) == 520
         seen = []
         monkeypatch.setattr(cli, "symmetric_floor", lambda op: seen.append(op) or symmetric_floor(op))
@@ -219,6 +307,28 @@ def test_physics_guard_exits_1_without_traceback(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_guard_in_a_concat_group_exits_1(capsys, monkeypatch):
+    # (5, 8) is only a stage-2 channel of verify-all's concatenation chains:
+    # its group trips the trace guard, and the whole run stops with exit 1
+    amplitudes = cloner._amplitudes
+
+    def perturbed(n, m):
+        left, amp = amplitudes(n, m)
+        if (n, m) == (5, 8):
+            left = left.copy()
+            left[0, 1] += 1e-6
+        return left, amp
+
+    cloner._transfer.cache_clear()
+    monkeypatch.setattr(cloner, "_amplitudes", perturbed)
+    try:
+        code, out, err = run_cli(capsys, "verify-all", "--samples", "2")
+    finally:
+        cloner._transfer.cache_clear()
+    assert code == 1 and out == ""
+    assert err.startswith("error: channel output trace differs") and err.count("\n") == 1
+
+
 CLONE = ["clone", "--n", "1", "--m", "2", "--samples", "2"]
 
 
@@ -259,6 +369,11 @@ CLONE = ["clone", "--n", "1", "--m", "2", "--samples", "2"]
     (["bounds", "--n", "1", "--m", "2", "--tol", "1e-9"], 2),
     (["estimate", "--m", "2", "--samples", "5"], 2),
     (["concat", "--n", "1", "--m", "2", "--l", "4", "--samples", "5"], 2),
+    (["concat", "--n", "3", "--m", "2", "--l", "4"], 2),
+    (["concat", "--n", "2", "--m", "4", "--l", "3"], 2),
+    (["concat", "--n", "0", "--m", "2", "--l", "4"], 2),
+    (["concat", "--n", "1", "--m", "1", "--l", "1"], 0),
+    (["concat", "--n", "60", "--m", "60", "--l", "60"], 0),
 ])
 def test_argument_contract(capsys, argv, code):
     try:
