@@ -326,8 +326,7 @@ def _sanity_checks(n, m, seed):
 # ------------------------------------------------------------------- emission
 
 def _emit_json(report, stream):
-    json.dump(report, stream, indent=2)
-    stream.write("\n")
+    stream.write(json.dumps(report, indent=2) + "\n")
 
 
 def _emit_csv(report, stream):

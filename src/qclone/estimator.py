@@ -11,12 +11,14 @@ sampling error enters the exact path. The Monte Carlo path draws outcomes
 exactly instead: under the Haar measure the overlap u = |<phi|psi>|^2 is
 uniform on [0, 1] and the azimuth of phi about psi is uniform and
 independent of it, so the outcome density (M+1) u^M is sampled by inverting
-its distribution function, with no rejection. Both paths accept
-1 <= M <= MAX_COPIES; the Monte Carlo path draws 1..MAX_SHOTS shots. It
-streams them in chunks of BLOCK_ENTRIES // 2 shots from one generator and
-keeps running sums, so its memory does not grow with the shot count:
-MAX_SHOTS is a time limit, 1.6 to 2.3 s with a 2.8 MB tracemalloc peak
-(2-core Xeon guest, one BLAS thread).
+its distribution function, with no rejection. The estimate reads the drawn
+overlap u and azimuth phase and never forms the outcome states;
+`sample_candidates` forms them from the same draws, as the explicit outcome
+sampler and the tests' oracle. Both paths accept 1 <= M <= MAX_COPIES; the
+Monte Carlo path draws 1..MAX_SHOTS shots. It streams them in chunks of
+BLOCK_ENTRIES // 2 shots from one generator and keeps running sums, so its
+memory does not grow with the shot count: MAX_SHOTS is a time limit, 0.7 to
+1.0 s with a 1.4 MB tracemalloc peak (2-core Xeon guest, one BLAS thread).
 
 Estimating on M copies and preparing the candidate realizes cloning to
 arbitrarily many copies; its single-qubit output is exactly the
@@ -42,7 +44,7 @@ from .symspace import BLOCK_ENTRIES, symmetric_coords, tensor_power_dicke
 from .cloner import CloneChannel, apply_cloner_dicke
 
 MAX_COPIES = 20
-MAX_SHOTS = 10 ** 7   # a time limit (streamed): about 2 s, 2.8 MB tracemalloc peak
+MAX_SHOTS = 10 ** 7   # a time limit (streamed): about 1 s, 1.4 MB tracemalloc peak
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ def estimation_fidelity_exact(m, psi):
     """Exact-quadrature estimation fidelity for M copies of the pure state psi."""
     if not 1 <= m <= MAX_COPIES:
         raise ValueError(f"m must be in 1..{MAX_COPIES}, got {m}")
-    psi = np.asarray(psi, dtype=complex)
+    psi = _unit_qubit(psi)
     states, weights = sphere_quadrature(m)
     overlap2 = np.abs(states @ psi.conj()) ** 2
     terms = (m + 1) * weights * overlap2 ** (m + 1)
@@ -141,54 +143,67 @@ def estimation_fidelity_exact(m, psi):
     )
 
 
-def sample_candidates(m, psi, n_shots, rng):
-    """Draw n_shots outcomes phi of the covariant measurement on |psi>^⊗M.
-
-    The outcome density against the Haar measure is (M+1) u^M, with
-    u = |<phi|psi>|^2. Under Haar, u is uniform on [0, 1] and the azimuth chi
-    of phi about psi is uniform and independent of u, so u = U^(1/(M+1)) for
-    uniform U is an exact draw, and
-    phi = sqrt(u) psi + sqrt(1-u) e^(i chi) psi_perp, psi_perp = (-psi1*, psi0*).
-    """
+def _unit_qubit(psi):
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (2,) or abs(np.linalg.norm(psi) - 1) > PHYS_TOL:
         raise ValueError(f"psi must be a unit 2-vector, got {psi}")
-    x = rng.random((n_shots, 2))
-    u = x[:, 0] ** (1 / (m + 1))
+    return psi
+
+
+def _draw(m, k, rng):
+    """k outcomes of the covariant measurement on M copies, as the overlap
+    u = |<phi|psi>|^2 and the phase e^(i chi) of phi's psi_perp component.
+
+    The outcome density against the Haar measure is (M+1) u^M. Under Haar,
+    u is uniform on [0, 1] and the azimuth chi of phi about psi is uniform and
+    independent of u, so u = U^(1/(M+1)) for uniform U is an exact draw.
+    """
+    x = rng.random((k, 2))
+    return x[:, 0] ** (1 / (m + 1)), np.exp(2j * np.pi * x[:, 1])
+
+
+def sample_candidates(m, psi, n_shots, rng):
+    """Draw n_shots outcomes phi of the covariant measurement on |psi>^⊗M,
+    phi = sqrt(u) psi + sqrt(1-u) e^(i chi) psi_perp, psi_perp = (-psi1*, psi0*),
+    with (u, e^(i chi)) from `_draw`."""
+    psi = _unit_qubit(psi)
+    u, phase = _draw(m, n_shots, rng)
     perp = np.array([-psi[1].conj(), psi[0].conj()])
-    return (np.sqrt(u)[:, None] * psi
-            + (np.sqrt(1 - u) * np.exp(2j * np.pi * x[:, 1]))[:, None] * perp)
+    return np.sqrt(u)[:, None] * psi + (np.sqrt(1 - u) * phase)[:, None] * perp
 
 
 def estimate_monte_carlo(m, psi, n_shots, seed):
-    """Simulated measurement: n_shots candidate draws, empirical fidelity.
+    """Simulated measurement: n_shots outcome draws, empirical fidelity.
 
+    Reads the drawn overlaps u of `_draw` and never forms the candidates phi.
     Shots are drawn in chunks of BLOCK_ENTRIES // 2 from one generator, which
     continues the stream of a single draw. The overlaps' count, mean and
     centred sum of squares are merged chunk by chunk (Chan, Golub and
     LeVeque), so up to one chunk the fidelity and its standard error equal
-    `fids.mean()` and `fids.std(ddof=1) / sqrt(n)` bit for bit.
+    `u.mean()` and `u.std(ddof=1) / sqrt(n)` bit for bit. In the basis
+    (psi, psi_perp) the mean of phi phi^† is [[F, W*/n], [W/n, 1-F]], with F
+    the fidelity and W the sum of sqrt(u(1-u)) e^(i chi).
     """
     if not 1 <= m <= MAX_COPIES:
         raise ValueError(f"m must be in 1..{MAX_COPIES}, got {m}")
     if not 1 <= n_shots <= MAX_SHOTS:
         raise ValueError(f"n_shots must be in 1..{MAX_SHOTS}, got {n_shots}")
-    psi = np.asarray(psi, dtype=complex)
+    psi = _unit_qubit(psi)
     rng = rng_from_seed(seed)
     chunk = BLOCK_ENTRIES // 2
-    fid, sq = 0.0, 0.0   # running mean and centred sum of squares of the first `start` overlaps
-    second = np.zeros((2, 2), dtype=complex)
+    fid, sq, w = 0.0, 0.0, 0j   # running mean, centred sum of squares and W of `start` shots
     for start in range(0, n_shots, chunk):
-        cands = sample_candidates(m, psi, min(chunk, n_shots - start), rng)
-        fids = np.abs(cands @ psi.conj()) ** 2
-        k, mean = len(fids), fids.mean()
-        dev, delta = fids - mean, mean - fid
+        u, phase = _draw(m, min(chunk, n_shots - start), rng)
+        k, mean = len(u), u.mean()
+        dev, delta = u - mean, mean - fid
         total = start + k
         fid = float(fid + delta * (k / total))
         sq = float(sq + np.sum(dev * dev) + delta * delta * (start * k / total))
-        second += cands.T @ cands.conj()
+        w += complex(np.sqrt(u * (1 - u)) @ phase)
     se = math.sqrt(sq / (n_shots - 1)) / math.sqrt(n_shots) if n_shots > 1 else 0.0
-    rho_bar = second / n_shots
+    basis = np.stack([psi, [-psi[1].conj(), psi[0].conj()]], axis=1)
+    rho_bar = basis @ np.array([[fid, w.conjugate() / n_shots],
+                                [w / n_shots, 1 - fid]]) @ basis.conj().T
     return EstimationReport(
         m_copies=m,
         fidelity_measured=fid,
@@ -234,9 +249,7 @@ def verify_statement_b(m, l, psi=None):
     which telescopes to (M+1)/(M+2) for every L <= DICKE_MAX.
     """
     ch = CloneChannel(m, l)
-    if psi is None:
-        psi = np.array([1.0, 0.0], dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
+    psi = _unit_qubit([1, 0] if psi is None else psi)
     v = tensor_power_dicke(psi, m)
     rho_bar = measure_and_prepare_dicke(apply_cloner_dicke(ch, np.outer(v, v.conj())))
     composed = pure_fidelity(psi, rho_bar)

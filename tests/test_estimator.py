@@ -7,6 +7,7 @@ import pytest
 from qclone.cloner import CloneChannel, apply_cloner, tensor_power_input
 from qclone.estimator import (
     MAX_SHOTS,
+    _draw,
     estimate_monte_carlo,
     estimation_fidelity_exact,
     measure_and_prepare_channel,
@@ -195,6 +196,10 @@ class TestExactSampler:
             sample_candidates(2, psi, 10, rng_from_seed(1))
         with pytest.raises(ValueError):
             estimate_monte_carlo(2, psi, 10, seed=1)
+        with pytest.raises(ValueError, match="unit 2-vector"):
+            estimation_fidelity_exact(2, psi)
+        with pytest.raises(ValueError, match="unit 2-vector"):
+            verify_statement_b(1, 3, psi)
 
     @pytest.mark.parametrize("shots", [0, MAX_SHOTS + 1])
     def test_rejects_shot_count_outside_range(self, shots):
@@ -204,14 +209,16 @@ class TestExactSampler:
 
 class TestStream:
     """Shots are drawn in chunks of BLOCK_ENTRIES // 2 with running sums; the
-    oracle draws them all with one `sample_candidates` call."""
+    oracle takes the same statistics of all draws from one `_draw` call."""
 
     @staticmethod
     def oracle(m, psi, n_shots, seed):
-        cands = sample_candidates(m, psi, n_shots, rng_from_seed(seed))
-        fids = np.abs(cands @ psi.conj()) ** 2
-        rho_bar = hermitize((cands.T @ cands.conj()) / n_shots)
-        return float(fids.mean()), float(fids.std(ddof=1) / np.sqrt(n_shots)), rho_bar
+        u, phase = _draw(m, n_shots, rng_from_seed(seed))
+        fid, w = u.mean(), np.sqrt(u * (1 - u)) @ phase
+        basis = np.stack([psi, [-psi[1].conj(), psi[0].conj()]], axis=1)
+        rho_bar = basis @ np.array([[fid, w.conjugate() / n_shots],
+                                    [w / n_shots, 1 - fid]]) @ basis.conj().T
+        return float(fid), float(u.std(ddof=1) / np.sqrt(n_shots)), hermitize(rho_bar)
 
     @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
     def test_matches_one_draw(self, n):
@@ -223,6 +230,18 @@ class TestStream:
         assert abs(rep.fidelity_measured - fid) <= bound
         assert abs(rep.statistical_error - se) <= bound
         assert np.max(np.abs(rep.rho_bar - rho_bar)) <= bound
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK + 1, 3 * CHUNK + 5])
+    @pytest.mark.parametrize("m", [1, 4, 12, 20])
+    def test_matches_candidate_formulas(self, m, n):
+        # the overlap statistics equal those of the explicit outcomes phi
+        psi = haar_random_pure(rng_from_seed(m + n))
+        rep = estimate_monte_carlo(m, psi, n, seed=73)
+        cands = sample_candidates(m, psi, n, rng_from_seed(73))
+        fids = np.abs(cands @ psi.conj()) ** 2
+        assert abs(rep.fidelity_measured - fids.mean()) <= 1e-15
+        assert abs(rep.statistical_error - fids.std(ddof=1) / np.sqrt(n)) <= 1e-15
+        assert np.max(np.abs(rep.rho_bar - cands.T @ cands.conj() / n)) <= 1e-15
 
     def test_chunked_draws_continue_the_stream(self):
         psi = haar_random_pure(rng_from_seed(75))
