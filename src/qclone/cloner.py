@@ -12,23 +12,23 @@ Certification works on Dicke coordinates, a complete description of a
 symmetric input, for every 1 ≤ N ≤ M ≤ 60, and forms one output qubit
 only: the engine moves input entry (a, b) to (a+w, b+w), so that qubit is
 linear in the input diagonal and superdiagonal through 2N+1 numbers per
-(N, M), formed from the cloner table's factors and cached (`_transfer`;
-the whole table is cached only for `apply_cloner_dicke`). One batched
-core (`measure_shrinking_dicke`) measures input and output qubit,
-shrinking factor and fidelity of s inputs (s, N+1, N+1) with two small
-products and runs every guard, trace kept within 1e-10 included, on
-arrays. `certify_universality` draws Haar tensor powers in chunks of
-s = max(1, BLOCK_ENTRIES // (N+1)²), whose input coordinates stay within
+(N, M), formed from the channel's factors (`_amplitudes`) and cached
+(`_transfer`, the module's only cache). One batched core
+(`measure_shrinking_dicke`) measures input and output qubit, shrinking
+factor and fidelity of s inputs (s, N+1, N+1) with two small products and
+runs every guard, trace kept within 1e-10 included, on arrays.
+`certify_universality` draws Haar tensor powers in chunks of s = max(1,
+BLOCK_ENTRIES // (N+1)²), whose input coordinates stay within
 `symspace.BLOCK_ENTRIES` complex entries, and keeps only running sums and
 extremes: memory does not grow with the sample count. Certification never
 forms a 2^N or 2^M operator nor an (M+1)×(M+1) output. `measure_shrinking`
 is the batch of one; it takes a full-space operator and gets its support
 check and coordinates from one pass (`symmetric_coords`).
 
-`apply_cloner_dicke` (one scatter-add over the cached table) gives whole
-outputs; `apply_cloner` embeds them in the full space (M ≤ 12) as
-V·apply_cloner_dicke(V†ρV)·V†, V the Dicke isometry. The dense 2^M channel
-remains only as an independent oracle in the tests.
+`apply_cloner_dicke` (M-N+1 shifted blocks from the same factors, nothing
+cached) gives whole outputs; `apply_cloner` embeds them in the full space
+(M ≤ 12) as V·apply_cloner_dicke(V†ρV)·V†, V the Dicke isometry. The dense
+2^M channel remains only as an independent oracle in the tests.
 """
 
 from __future__ import annotations
@@ -105,9 +105,9 @@ def _check_dicke(ch):
 
 
 def _amplitudes(n, m):
-    """The two factors of the cloner table, (M-N+1, N+1) each, uncached:
-    C(M-N,w) amp[w,a] and amp[w,a] = sqrt(C(N,a) / C(M,a+w)), so that
-    k[w, a, b] = (C(M-N,w) amp[w,a]) amp[w,b]."""
+    """The two factors of the channel, (M-N+1, N+1) each, uncached:
+    C(M-N,w) amp[w,a] and amp[w,a] = sqrt(C(N,a) / C(M,a+w)). Input entry
+    (a, b) goes to (a+w, b+w) with k[w, a, b] = (C(M-N,w) amp[w,a]) amp[w,b]."""
     ws = range(m - n + 1)
     amp = np.array([[sqrt(comb(n, a) / comb(m, a + w)) for a in range(n + 1)]
                     for w in ws])
@@ -116,27 +116,12 @@ def _amplitudes(n, m):
 
 
 @lru_cache(maxsize=None)
-def _dicke_table(n, m):
-    """Read-only coefficients k[w, a, b] of `_amplitudes` and the flat index
-    (a+w)(M+1) + b+w of out[a+w, b+w] that each term lands on, in (w, a, b)
-    order."""
-    left, amp = _amplitudes(n, m)
-    k = left[:, :, None] * amp[:, None, :]
-    rows = np.arange(m - n + 1)[:, None] + np.arange(n + 1)[None, :]  # a + w
-    flat = (rows[:, :, None] * (m + 1) + rows[:, None, :]).ravel()
-    for arr in (k, flat):
-        arr.flags.writeable = False
-    return k, flat
-
-
-@lru_cache(maxsize=None)
 def _transfer(n, m):
     """Read-only map to one clone's qubit: t_diag (N+1, 3) takes the input
     diagonal to (p00, p11, trace), t_off (N,) the superdiagonal to p01. Only
-    k[w, a, a] and k[w, a, a+1] of the table enter (entry (a, b) goes to
-    (a+w, b+w)), weighted by (M-j)/M, j/M, 1 and sqrt((j+1)(M-j))/M, j = a+w.
-    They are formed from `_amplitudes`, so no (M-N+1)(N+1)² table is built
-    or cached for certification."""
+    the coefficients k[w, a, a] and k[w, a, a+1] of `_amplitudes` enter
+    (entry (a, b) goes to (a+w, b+w)), weighted by (M-j)/M, j/M, 1 and
+    sqrt((j+1)(M-j))/M, j = a+w, so no (M-N+1)(N+1)² table is formed."""
     left, amp = _amplitudes(n, m)
     j = np.arange(m - n + 1)[:, None] + np.arange(n + 1)  # (w, a) -> a + w
     weights = np.stack(((m - j) / m, j / m, np.ones(j.shape)), axis=-1)
@@ -155,21 +140,20 @@ def apply_cloner_dicke(ch, coords_n):
     Matrix elements follow from <D^M_j | (|D^N_a> ⊗ |x>) being nonzero only
     for wt(x) = j - a, so the identity on the blanks contributes one binomial
     factor per excess weight w: out = (N+1)/(M+1) Σ_w C(M-N,w) A_w ρ A_wᵀ.
-    The coefficients come from the cached `_dicke_table(N, M)`; one
-    scatter-add (`np.add.at` over the flattened batch, increasing w within
-    each input) sums the terms into the outputs. Raises if any output trace
-    differs from its input trace by more than 1e-10.
+    For increasing w, the block k[w] ρ (factors from `_amplitudes`) is added
+    at offset (w, w); nothing is cached, so memory is one output and one
+    block. Raises if any output trace differs from its input trace by more
+    than 1e-10.
     """
     coords_n = np.asarray(coords_n, dtype=complex)
     n, m = ch.n_in, ch.m_out
     if coords_n.ndim not in (2, 3) or coords_n.shape[-2:] != (n + 1, n + 1):
         raise ValueError(f"coords shape {coords_n.shape} does not match n_in={n}")
     _check_dicke(ch)
-    k, flat = _dicke_table(n, m)
-    batch = coords_n.reshape(-1, n + 1, n + 1)
+    left, amp = _amplitudes(n, m)
     out = np.zeros(coords_n.shape[:-2] + (m + 1, m + 1), dtype=complex)
-    index = flat + (m + 1) ** 2 * np.arange(len(batch))[:, None]  # into the flat batch
-    np.add.at(out.reshape(-1), index.ravel(), (k * batch[:, None]).ravel())
+    for w in range(m - n + 1):
+        out[..., w:w + n + 1, w:w + n + 1] += (left[w][:, None] * amp[w]) * coords_n
     out *= n + 1
     out /= m + 1
     drift = np.abs(np.trace(out, axis1=-2, axis2=-1) - np.trace(coords_n, axis1=-2, axis2=-1))

@@ -7,18 +7,21 @@ The measurement is the continuous covariant family over pure states,
 complete on the symmetric subspace. Averages over the Bloch sphere are
 trigonometric polynomials of known degree, so a Gauss-Legendre grid in
 cos(theta) times a uniform grid in azimuth integrates them exactly; no
-sampling error enters the exact path. The Monte Carlo path draws outcomes
-exactly instead: under the Haar measure the overlap u = |<phi|psi>|^2 is
-uniform on [0, 1] and the azimuth of phi about psi is uniform and
-independent of it, so the outcome density (M+1) u^M is sampled by inverting
-its distribution function, with no rejection. The estimate reads the drawn
-overlap u and azimuth phase and never forms the outcome states;
-`sample_candidates` forms them from the same draws, as the explicit outcome
-sampler and the tests' oracle. Both paths accept 1 <= M <= MAX_COPIES; the
-Monte Carlo path draws 1..MAX_SHOTS shots. It streams them in chunks of
-BLOCK_ENTRIES // 2 shots from one generator and keeps running sums, so its
-memory does not grow with the shot count: MAX_SHOTS is a time limit, 0.7 to
-1.0 s with a 1.4 MB tracemalloc peak (2-core Xeon guest, one BLAS thread).
+sampling error enters the exact path. Its one kernel,
+`measure_and_prepare_dicke`, is two BLAS products; exact estimation applies
+it to |psi><psi|^⊗M and reads F = <psi|rho_bar|psi>. The Monte Carlo path
+draws outcomes exactly instead: under the Haar measure the overlap u =
+|<phi|psi>|^2 is uniform on [0, 1] and the azimuth of phi about psi is
+uniform and independent of it, so the outcome density (M+1) u^M is sampled
+by inverting its distribution function, with no rejection. The estimate
+reads the drawn overlap u and azimuth phase and never forms the outcome
+states; `sample_candidates` forms them from the same draws, as the explicit
+outcome sampler and the tests' oracle. Both paths accept 1 <= M <=
+MAX_COPIES; the Monte Carlo path draws 1..MAX_SHOTS shots. It streams them
+in chunks of BLOCK_ENTRIES // 2 shots from one generator and keeps running
+sums, so its memory does not grow with the shot count: MAX_SHOTS is a time
+limit, 0.7 to 1.0 s with a 1.4 MB tracemalloc peak (2-core Xeon guest, one
+BLAS thread).
 
 Estimating on M copies and preparing the candidate realizes cloning to
 arbitrarily many copies; its single-qubit output is exactly the
@@ -117,26 +120,23 @@ def povm_completeness_residual(m):
 
 
 def estimation_fidelity_exact(m, psi):
-    """Exact-quadrature estimation fidelity for M copies of the pure state psi."""
+    """Exact-quadrature estimation fidelity for M copies of the pure state
+    psi: `measure_and_prepare_dicke` on |psi><psi|^⊗M, F = <psi|rho_bar|psi>."""
     if not 1 <= m <= MAX_COPIES:
         raise ValueError(f"m must be in 1..{MAX_COPIES}, got {m}")
     psi = _unit_qubit(psi)
-    states, weights = sphere_quadrature(m)
-    overlap2 = np.abs(states @ psi.conj()) ** 2
-    terms = (m + 1) * weights * overlap2 ** (m + 1)
-    fid = math.fsum(terms)
-    probs = (m + 1) * weights * overlap2 ** m
-    rho_bar = np.einsum("i,ij,ik->jk", probs, states, states.conj())
-    eta = 2 * fid - 1
+    v = tensor_power_dicke(psi, m)
+    rho_bar = measure_and_prepare_dicke(np.outer(v, v.conj()))
+    fid = pure_fidelity(psi, rho_bar)
     return EstimationReport(
         m_copies=m,
-        fidelity_measured=float(fid),
+        fidelity_measured=fid,
         fidelity_predicted=(m + 1) / (m + 2),
-        eta_measured=float(eta),
+        eta_measured=2 * fid - 1,
         eta_predicted=m / (m + 2),
-        rho_bar=hermitize(rho_bar),
+        rho_bar=rho_bar,
         mode="exact-quadrature",
-        quadrature_order=len(weights),
+        quadrature_order=len(sphere_quadrature(m)[1]),
         n_shots=None,
         seed=None,
         statistical_error=0.0,
@@ -230,16 +230,16 @@ def measure_and_prepare_channel(m, rho_m):
 
 def measure_and_prepare_dicke(coords):
     """`measure_and_prepare_channel` on the Dicke coordinates (M+1)x(M+1)
-    of an M-copy input."""
+    of an M-copy input: node probabilities p = (M+1) q Re<v|rho|v> over the
+    nodes' tensor powers v, then rho_bar = Σ p |phi><phi|, two products."""
     coords = np.asarray(coords, dtype=complex)
     m = coords.shape[0] - 1
     if coords.shape != (m + 1, m + 1) or m < 1:
         raise ValueError(f"coords must be square (m+1)x(m+1), got {coords.shape}")
     states, weights = sphere_quadrature(m)
     vecs = quadrature_powers(m)
-    probs = (m + 1) * weights * np.einsum("ij,jk,ik->i", vecs.conj(), coords, vecs).real
-    rho_bar = np.einsum("i,ij,ik->jk", probs, states, states.conj())
-    return hermitize(rho_bar)
+    probs = (m + 1) * weights * np.sum(vecs.conj() * (vecs @ coords.T), axis=1).real
+    return hermitize((states.T * probs) @ states.conj())
 
 
 def verify_statement_b(m, l, psi=None):

@@ -11,7 +11,6 @@ from qclone.cloner import (
     DICKE_MAX,
     CloneChannel,
     _chunk_size,
-    _dicke_table,
     _transfer,
     apply_cloner,
     apply_cloner_dicke,
@@ -224,12 +223,26 @@ class TestDickePath:
                 apply_cloner_dicke(CloneChannel(2, 4), np.zeros(shape, dtype=complex))
 
     def test_table_is_read_only(self):
-        k, flat = _dicke_table(3, 10)
-        assert k.shape == (8, 4, 4) and flat.shape == (8 * 4 * 4,)
-        for arr in (k, flat, *_transfer(3, 10)):
+        # the cached transfer map is shared by every caller of a cell
+        t_diag, t_off = _transfer(3, 10)
+        assert t_diag.shape == (4, 3) and t_off.shape == (3,)
+        for arr in (t_diag, t_off):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+    def test_engine_memory_is_per_call(self):
+        # the engine keeps nothing between calls: its peak is one output and
+        # one shifted block, not an (M-N+1)(N+1)² table per cell
+        tracemalloc.start()
+        try:
+            for m in (40, 60):
+                for n in range(1, m + 1):
+                    apply_cloner_dicke(CloneChannel(n, m), np.eye(n + 1) / (n + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_reduction_from_dicke_coords(self):
         rng = rng_from_seed(6)
@@ -452,10 +465,12 @@ class TestTransfer:
 
     def test_map_is_bit_equal_to_table_slices(self):
         # the map formed from the table factors equals, bit for bit, the
-        # diagonals of the whole table weighted as the reduction reads them
+        # diagonals of the whole table k[w, a, b] = (C(M-N,w) amp[w,a]) amp[w,b]
+        # weighted as the reduction reads them
         cells = [(n, m) for m in range(1, 21) for n in range(1, m + 1)]
         for n, m in cells + [(4, 40), (6, 60), (30, 60), (59, 60), (60, 60)]:
-            k, _ = _dicke_table(n, m)
+            left, amp = cloner._amplitudes(n, m)
+            k = left[:, :, None] * amp[:, None, :]
             j = np.arange(m - n + 1)[:, None] + np.arange(n + 1)
             weights = np.stack(((m - j) / m, j / m, np.ones(j.shape)), axis=-1)
             off_weights = np.sqrt((j[:, :-1] + 1) * (m - j[:, :-1])) / m
@@ -465,12 +480,13 @@ class TestTransfer:
             got_diag, got_off = _transfer(n, m)
             assert got_diag.tobytes() == t_diag.tobytes() and got_diag.shape == t_diag.shape
             assert got_off.tobytes() == t_off.tobytes() and got_off.shape == t_off.shape
-        _dicke_table.cache_clear()
 
     def test_certification_caches_no_table(self, capsys):
-        # certification reads only the map: the whole-output table, (M-N+1)(N+1)²
-        # floats per cell, is built and cached by apply_cloner_dicke alone
-        _dicke_table.cache_clear()
+        # the map is the cloner's only cache: neither certification nor the
+        # whole-output engine keeps an (M-N+1)(N+1)² table per cell
+        caches = [name for name, obj in vars(cloner).items()
+                  if hasattr(obj, "cache_info") and obj.__module__ == cloner.__name__]
+        assert caches == ["_transfer"]
         _transfer.cache_clear()
         for n, m in [(1, 2), (3, 10), (6, 60), (30, 60)]:
             certify_universality(CloneChannel(n, m), 5, n + m)
@@ -478,9 +494,8 @@ class TestTransfer:
         assert main(["clone", "--n", "4", "--m", "50", "--samples", "3"]) == 0
         capsys.readouterr()
         assert _transfer.cache_info().currsize == 6
-        assert _dicke_table.cache_info().currsize == 0
         apply_cloner_dicke(CloneChannel(3, 10), np.eye(4) / 4)
-        assert _dicke_table.cache_info().currsize == 1
+        assert _transfer.cache_info().currsize == 6
 
     def test_chunk_holds_inputs_only(self):
         # samples per chunk depend on N alone: the outputs are one qubit each

@@ -6,11 +6,13 @@ import pytest
 
 from qclone.cloner import CloneChannel, apply_cloner, tensor_power_input
 from qclone.estimator import (
+    MAX_COPIES,
     MAX_SHOTS,
     _draw,
     estimate_monte_carlo,
     estimation_fidelity_exact,
     measure_and_prepare_channel,
+    measure_and_prepare_dicke,
     povm_completeness_residual,
     quadrature_powers,
     sample_candidates,
@@ -82,6 +84,24 @@ class TestExactEstimation:
         rep = estimation_fidelity_exact(m, psi)
         s_psi = bloch_of(np.outer(psi, psi.conj()))
         assert np.max(np.abs(bloch_of(rep.rho_bar) - (m / (m + 2)) * s_psi)) < 1e-10
+
+    @pytest.mark.parametrize("m", range(1, MAX_COPIES + 1))
+    def test_matches_overlap_sum_oracle(self, m):
+        # the overlap sum F = Σ_i (M+1) q_i |<phi_i|psi>|^(2(M+1)), summed with
+        # fsum, and the probability-weighted node projectors for rho_bar
+        rng = rng_from_seed(600 + m)
+        states, weights = sphere_quadrature(m)
+        for _ in range(20):
+            psi = haar_random_pure(rng)
+            rep = estimation_fidelity_exact(m, psi)
+            overlap2 = np.abs(states @ psi.conj()) ** 2
+            fid = math.fsum((m + 1) * weights * overlap2 ** (m + 1))
+            probs = (m + 1) * weights * overlap2 ** m
+            rho_bar = np.einsum("i,ij,ik->jk", probs, states, states.conj())
+            assert abs(rep.fidelity_measured - fid) <= 1e-14
+            assert abs(rep.eta_measured - (2 * fid - 1)) <= 2e-14
+            assert np.max(np.abs(rep.rho_bar - rho_bar)) <= 1e-14
+            assert rep.quadrature_order == len(weights)
 
     def test_range_check(self):
         with pytest.raises(ValueError):
@@ -293,6 +313,22 @@ class TestMeasureAndPrepare:
             s_in = bloch_of(partial_trace(rho_m, {0}, m))
             out = measure_and_prepare_channel(m, rho_m)
             assert np.max(np.abs(bloch_of(out) - (m / (m + 2)) * s_in)) < 1e-9
+
+    @pytest.mark.parametrize("m", [*range(1, 21), 60])
+    def test_matches_einsum_oracle(self, m):
+        # the three-operand einsum over the nodes, on random mixed inputs. The
+        # bound is the oracle's own rounding: against the same sums in extended
+        # precision the einsum errs by up to 1.1e-15 at M = 60, the kernel by 3.1e-16
+        rng = rng_from_seed(700 + m)
+        states, weights = sphere_quadrature(m)
+        vecs = quadrature_powers(m)
+        for _ in range(5):
+            g = rng.standard_normal((m + 1, m + 1)) + 1j * rng.standard_normal((m + 1, m + 1))
+            coords = g @ g.conj().T
+            coords /= coords.trace()
+            probs = (m + 1) * weights * np.einsum("ij,jk,ik->i", vecs.conj(), coords, vecs).real
+            oracle = hermitize(np.einsum("i,ij,ik->jk", probs, states, states.conj()))
+            assert np.max(np.abs(measure_and_prepare_dicke(coords) - oracle)) <= 2e-15
 
     def test_rejects_non_symmetric(self):
         singlet = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
