@@ -13,15 +13,16 @@ it to |psi><psi|^⊗M and reads F = <psi|rho_bar|psi>. The Monte Carlo path
 draws outcomes exactly instead: under the Haar measure the overlap u =
 |<phi|psi>|^2 is uniform on [0, 1] and the azimuth of phi about psi is
 uniform and independent of it, so the outcome density (M+1) u^M is sampled
-by inverting its distribution function, with no rejection. The estimate
-reads the drawn overlap u and azimuth phase and never forms the outcome
-states; `sample_candidates` forms them from the same draws, as the explicit
-outcome sampler and the tests' oracle. Both paths accept 1 <= M <=
+by inverting its distribution function, with no rejection; the azimuth
+phase is a table entry times a short series. The estimate reads the drawn
+overlap u and azimuth phase and never forms the outcome states;
+`sample_candidates` forms them from the same draws, as the explicit outcome
+sampler and the tests' oracle. Both paths accept integer 1 <= M <=
 MAX_COPIES; the Monte Carlo path draws 1..MAX_SHOTS shots. It streams them
-in chunks of BLOCK_ENTRIES // 2 shots from one generator and keeps running
-sums, so its memory does not grow with the shot count: MAX_SHOTS is a time
-limit, 0.7 to 1.0 s with a 1.4 MB tracemalloc peak (2-core Xeon guest, one
-BLAS thread).
+in chunks of BLOCK_ENTRIES // 2 shots from one generator into one set of
+work arrays and keeps running sums, so its memory does not grow with the
+shot count: MAX_SHOTS is a time limit, 0.35 to 0.55 s with a 1.2 MB
+tracemalloc peak (2-core Xeon guest, one BLAS thread).
 
 Estimating on M copies and preparing the candidate realizes cloning to
 arbitrarily many copies; its single-qubit output is exactly the
@@ -32,6 +33,7 @@ M/(M+2).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,7 +49,10 @@ from .symspace import BLOCK_ENTRIES, symmetric_coords, tensor_power_dicke
 from .cloner import CloneChannel, apply_cloner_dicke
 
 MAX_COPIES = 20
-MAX_SHOTS = 10 ** 7   # a time limit (streamed): about 1 s, 1.4 MB tracemalloc peak
+MAX_SHOTS = 10 ** 7   # a time limit (streamed): about 0.5 s, 1.2 MB tracemalloc peak
+_PHASE_STEPS = 256    # e^(2 pi i x) = _PHASES[j] e^(i theta), j = floor(256 x)
+_PHASES = np.exp(2j * np.pi * np.arange(_PHASE_STEPS) / _PHASE_STEPS)   # 4 KiB
+_PHASES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -122,25 +127,18 @@ def povm_completeness_residual(m):
 def estimation_fidelity_exact(m, psi):
     """Exact-quadrature estimation fidelity for M copies of the pure state
     psi: `measure_and_prepare_dicke` on |psi><psi|^⊗M, F = <psi|rho_bar|psi>."""
-    if not 1 <= m <= MAX_COPIES:
-        raise ValueError(f"m must be in 1..{MAX_COPIES}, got {m}")
+    m = _check_copies(m)
     psi = _unit_qubit(psi)
     v = tensor_power_dicke(psi, m)
     rho_bar = measure_and_prepare_dicke(np.outer(v, v.conj()))
     fid = pure_fidelity(psi, rho_bar)
-    return EstimationReport(
-        m_copies=m,
-        fidelity_measured=fid,
-        fidelity_predicted=(m + 1) / (m + 2),
-        eta_measured=2 * fid - 1,
-        eta_predicted=m / (m + 2),
-        rho_bar=rho_bar,
-        mode="exact-quadrature",
-        quadrature_order=len(sphere_quadrature(m)[1]),
-        n_shots=None,
-        seed=None,
-        statistical_error=0.0,
-    )
+    return _report(m, fid, rho_bar, "exact-quadrature", len(sphere_quadrature(m)[1]), None, None, 0.0)
+
+
+def _report(m, fid, rho_bar, mode, quadrature_order, n_shots, seed, statistical_error):
+    """An EstimationReport of the fidelity fid measured on M copies."""
+    return EstimationReport(m, fid, (m + 1) / (m + 2), 2 * fid - 1, m / (m + 2), rho_bar, mode,
+                            quadrature_order, n_shots, seed, statistical_error)
 
 
 def _unit_qubit(psi):
@@ -150,22 +148,60 @@ def _unit_qubit(psi):
     return psi
 
 
-def _draw(m, k, rng):
+def _check_copies(m):
+    """The copy count m as an int, if it is an integer in 1..MAX_COPIES."""
+    try:
+        if 1 <= operator.index(m) <= MAX_COPIES:
+            return operator.index(m)
+    except TypeError:   # not an integer
+        pass
+    raise ValueError(f"m must be an integer in 1..{MAX_COPIES}, got {m}")
+
+
+def _scratch(k):
+    """Draws, overlaps, phases, table indices and a float array for k shots."""
+    return np.empty((k, 2)), np.empty(k), np.empty(k, complex), np.empty(k, np.intp), np.empty(k)
+
+
+def _draw(m, k, rng, scratch=None):
     """k outcomes of the covariant measurement on M copies, as the overlap
     u = |<phi|psi>|^2 and the phase e^(i chi) of phi's psi_perp component.
 
     The outcome density against the Haar measure is (M+1) u^M. Under Haar,
     u is uniform on [0, 1] and the azimuth chi of phi about psi is uniform and
-    independent of u, so u = U^(1/(M+1)) for uniform U is an exact draw.
+    independent of u, so u = U^(1/(M+1)) and chi = 2 pi x for uniform U, x are
+    exact draws. As x is a multiple of 2^-53, t = 256 x and j = floor(t) are
+    exact, and e^(i chi) = _PHASES[j] e^(i theta), theta = 2 pi (t - j) / 256 <
+    0.0245, by cosine and sine series to theta^6 (error below 4e-18). The draw
+    fills views of `scratch` (`_scratch` of k or more shots) or of its own.
     """
-    x = rng.random((k, 2))
-    return x[:, 0] ** (1 / (m + 1)), np.exp(2j * np.pi * x[:, 1])
+    x, u, phase, j, t = (a[:k] for a in scratch or _scratch(k))
+    rng.random(out=x)
+    np.power(x[:, 0], 1 / (m + 1), out=u)
+    th2, poly = phase.view(float)[:k], phase.view(float)[k:]   # free until the table lookup
+    np.multiply(x[:, 1], _PHASE_STEPS, out=t)
+    np.floor(t, out=th2)
+    np.copyto(j, th2, casting="unsafe")
+    t -= th2
+    t *= 2 * np.pi / _PHASE_STEPS                    # theta
+    np.square(t, out=th2)
+    for col, (c6, c4, c2) in enumerate([(-1 / 720, 1 / 24, -1 / 2), (-1 / 5040, 1 / 120, -1 / 6)]):
+        np.multiply(th2, c6, out=poly)               # Horner's rule in theta^2
+        for c in (c4, c2):
+            poly += c
+            poly *= th2
+        np.add(poly, 1, out=x[:, col])               # cos theta, then sin(theta) / theta
+    x[:, 1] *= t
+    np.take(_PHASES, j, out=phase, mode="clip")      # j is in 0..255
+    phase *= x.view(complex)[:, 0]
+    return u, phase
 
 
 def sample_candidates(m, psi, n_shots, rng):
     """Draw n_shots outcomes phi of the covariant measurement on |psi>^⊗M,
     phi = sqrt(u) psi + sqrt(1-u) e^(i chi) psi_perp, psi_perp = (-psi1*, psi0*),
     with (u, e^(i chi)) from `_draw`."""
+    m = _check_copies(m)
     psi = _unit_qubit(psi)
     u, phase = _draw(m, n_shots, rng)
     perp = np.array([-psi[1].conj(), psi[0].conj()])
@@ -184,39 +220,28 @@ def estimate_monte_carlo(m, psi, n_shots, seed):
     (psi, psi_perp) the mean of phi phi^† is [[F, W*/n], [W/n, 1-F]], with F
     the fidelity and W the sum of sqrt(u(1-u)) e^(i chi).
     """
-    if not 1 <= m <= MAX_COPIES:
-        raise ValueError(f"m must be in 1..{MAX_COPIES}, got {m}")
+    m = _check_copies(m)
     if not 1 <= n_shots <= MAX_SHOTS:
         raise ValueError(f"n_shots must be in 1..{MAX_SHOTS}, got {n_shots}")
     psi = _unit_qubit(psi)
     rng = rng_from_seed(seed)
     chunk = BLOCK_ENTRIES // 2
+    scratch = _scratch(min(chunk, n_shots))
     fid, sq, w = 0.0, 0.0, 0j   # running mean, centred sum of squares and W of `start` shots
     for start in range(0, n_shots, chunk):
-        u, phase = _draw(m, min(chunk, n_shots - start), rng)
+        u, phase = _draw(m, min(chunk, n_shots - start), rng, scratch)
         k, mean = len(u), u.mean()
-        dev, delta = u - mean, mean - fid
+        a, delta = np.subtract(u, mean, out=scratch[-1][:k]), mean - fid
         total = start + k
         fid = float(fid + delta * (k / total))
-        sq = float(sq + np.sum(dev * dev) + delta * delta * (start * k / total))
-        w += complex(np.sqrt(u * (1 - u)) @ phase)
+        sq = float(sq + np.sum(np.square(a, out=a)) + delta * delta * (start * k / total))
+        np.multiply(u, np.subtract(1, u, out=a), out=a)
+        w += complex(np.sqrt(a, out=a) @ phase)
     se = math.sqrt(sq / (n_shots - 1)) / math.sqrt(n_shots) if n_shots > 1 else 0.0
     basis = np.stack([psi, [-psi[1].conj(), psi[0].conj()]], axis=1)
     rho_bar = basis @ np.array([[fid, w.conjugate() / n_shots],
                                 [w / n_shots, 1 - fid]]) @ basis.conj().T
-    return EstimationReport(
-        m_copies=m,
-        fidelity_measured=fid,
-        fidelity_predicted=(m + 1) / (m + 2),
-        eta_measured=2 * fid - 1,
-        eta_predicted=m / (m + 2),
-        rho_bar=hermitize(rho_bar),
-        mode="monte-carlo",
-        quadrature_order=None,
-        n_shots=n_shots,
-        seed=seed,
-        statistical_error=se,
-    )
+    return _report(m, fid, hermitize(rho_bar), "monte-carlo", None, n_shots, seed, se)
 
 
 def measure_and_prepare_channel(m, rho_m):

@@ -9,6 +9,7 @@ from qclone.estimator import (
     MAX_COPIES,
     MAX_SHOTS,
     _draw,
+    _scratch,
     estimate_monte_carlo,
     estimation_fidelity_exact,
     measure_and_prepare_channel,
@@ -26,6 +27,7 @@ from qclone.symspace import BLOCK_ENTRIES, random_symmetric_density, symmetrizer
 KET0 = np.array([1, 0], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 CHUNK = BLOCK_ENTRIES // 2   # shots per chunk of estimate_monte_carlo
+BAD_COPIES = (0, -1, 21, 2.5, 3.0)
 
 
 class TestQuadrature:
@@ -104,10 +106,9 @@ class TestExactEstimation:
             assert rep.quadrature_order == len(weights)
 
     def test_range_check(self):
-        with pytest.raises(ValueError):
-            estimation_fidelity_exact(0, KET0)
-        with pytest.raises(ValueError):
-            estimation_fidelity_exact(21, KET0)
+        for m in BAD_COPIES:
+            with pytest.raises(ValueError, match="m must be an integer"):
+                estimation_fidelity_exact(m, KET0)
 
 
 class TestMonteCarlo:
@@ -156,9 +157,21 @@ class TestMonteCarlo:
         assert abs(rep.fidelity_measured - (m + 1) / (m + 2)) < 4 * rep.statistical_error
 
     def test_range_check(self):
-        for m in (0, 21):
-            with pytest.raises(ValueError):
+        for m in BAD_COPIES:
+            with pytest.raises(ValueError, match="m must be an integer"):
                 estimate_monte_carlo(m, KET0, 100, seed=1)
+            with pytest.raises(ValueError, match="m must be an integer"):
+                sample_candidates(m, KET0, 100, rng_from_seed(1))
+
+    def test_numpy_integer_copy_count(self):
+        m = np.int64(3)
+        exact = estimation_fidelity_exact(m, KET0)
+        assert exact.fidelity_measured == estimation_fidelity_exact(3, KET0).fidelity_measured
+        rep = estimate_monte_carlo(m, KET0, 100, seed=1)
+        assert rep.m_copies == 3 and type(rep.m_copies) is int
+        assert rep.fidelity_measured == estimate_monte_carlo(3, KET0, 100, seed=1).fidelity_measured
+        a = sample_candidates(m, KET0, 100, rng_from_seed(1))
+        assert a.tobytes() == sample_candidates(3, KET0, 100, rng_from_seed(1)).tobytes()
 
 
 class TestExactSampler:
@@ -227,6 +240,51 @@ class TestExactSampler:
             estimate_monte_carlo(2, KET0, shots, seed=1)
 
 
+class TestPhaseKernel:
+    """The azimuth phase of `_draw` is a table entry times a short series; the
+    overlap u is the raw stream's first column to the power 1/(M+1)."""
+
+    class Fixed:
+        """A generator stand-in that fills the draw buffer with given values."""
+
+        def __init__(self, x):
+            self.x = x
+
+        def random(self, out):
+            out[...] = self.x
+
+    def test_matches_complex_exponential(self):
+        tiny = 2.0 ** -53
+        table = np.arange(256) / 256
+        edges = np.concatenate([table, table + tiny, table[1:] - tiny, [0.0, 1 - tiny]])
+        x = np.concatenate([rng_from_seed(90).random(10 ** 6), edges])
+        _, phase = _draw(5, len(x), self.Fixed(np.stack([x, x], axis=1)))
+        assert np.max(np.abs(phase - np.exp(2j * np.pi * x))) <= 2e-15
+        assert np.max(np.abs(np.abs(phase) - 1)) <= 1e-15
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 20])
+    def test_overlap_is_the_raw_power(self, m):
+        x = rng_from_seed(91 + m).random((CHUNK + 7, 2))
+        u, _ = _draw(m, CHUNK + 7, rng_from_seed(91 + m))
+        assert np.array_equal(u, x[:, 0] ** (1 / (m + 1)))
+
+    def test_scratch_draw_allocates_nothing(self):
+        # a draw into a longer scratch set equals a fresh draw and allocates no array
+        rng, scratch = rng_from_seed(92), _scratch(CHUNK)
+        _draw(3, CHUNK - 9, rng, scratch)
+        tracemalloc.start()
+        try:
+            u, phase = _draw(3, CHUNK - 9, rng, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
+        fresh = rng_from_seed(92)
+        _draw(3, CHUNK - 9, fresh)
+        u2, phase2 = _draw(3, CHUNK - 9, fresh)
+        assert u.tobytes() == u2.tobytes() and phase.tobytes() == phase2.tobytes()
+
+
 class TestStream:
     """Shots are drawn in chunks of BLOCK_ENTRIES // 2 with running sums; the
     oracle takes the same statistics of all draws from one `_draw` call."""
@@ -263,6 +321,16 @@ class TestStream:
         assert abs(rep.statistical_error - fids.std(ddof=1) / np.sqrt(n)) <= 1e-15
         assert np.max(np.abs(rep.rho_bar - cands.T @ cands.conj() / n)) <= 1e-15
 
+    @pytest.mark.parametrize("n", [2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    @pytest.mark.parametrize("m", [1, 4, 12, 20])
+    def test_matches_raw_stream(self, m, n):
+        # an oracle that shares no code with `_draw`: the phase kernel cannot move F or its SE
+        u = rng_from_seed(74).random((n, 2))[:, 0] ** (1 / (m + 1))
+        rep = estimate_monte_carlo(m, KET0, n, seed=74)
+        bound = 0.0 if n <= CHUNK else 1e-15
+        assert abs(rep.fidelity_measured - u.mean()) <= bound
+        assert abs(rep.statistical_error - u.std(ddof=1) / np.sqrt(n)) <= bound
+
     def test_chunked_draws_continue_the_stream(self):
         psi = haar_random_pure(rng_from_seed(75))
         rng = rng_from_seed(76)
@@ -270,17 +338,24 @@ class TestStream:
         whole = sample_candidates(5, psi, 3 * CHUNK + 848, rng_from_seed(76))
         assert np.concatenate(parts).tobytes() == whole.tobytes()
 
-    def test_memory_does_not_grow_with_shots(self):
-        # all 10^6 shots at once would peak near 104 MB
+    @staticmethod
+    def peak(n_shots):
         psi = haar_random_pure(rng_from_seed(77))
         estimate_monte_carlo(3, psi, 10, seed=78)
         tracemalloc.start()
         try:
-            estimate_monte_carlo(3, psi, 10 ** 6, seed=78)
-            peak = tracemalloc.get_traced_memory()[1]
+            estimate_monte_carlo(3, psi, n_shots, seed=78)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4e6
+
+    def test_memory_does_not_grow_with_shots(self):
+        # all 10^6 shots at once would peak near 104 MB; one set of work
+        # arrays for a chunk of 16,384 shots is 0.92 MB
+        assert self.peak(10 ** 6) < 1.4e6
+
+    def test_memory_is_one_chunk_set(self):
+        assert self.peak(10 ** 6) <= self.peak(2 * CHUNK) + 65536
 
 
 class TestMeasureAndPrepare:
