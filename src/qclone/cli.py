@@ -26,8 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds as bd
-from .cloner import (CloneChannel, apply_cloner, apply_cloner_dicke, certify_universality,
-                     measure_shrinking_dicke, tensor_power_input)
+from .cloner import (CloneChannel, _check_dicke, apply_cloner, apply_cloner_dicke,
+                     certify_universality, measure_shrinking_dicke, tensor_power_input)
 from .estimator import (
     MAX_SHOTS,
     estimate_monte_carlo,
@@ -163,9 +163,11 @@ def run_concat(n, m, l, seed, tol):
 def run_concat_chains(chains, tol):
     """(results, checks) of each chain (n, m, l, seed), in chain order. Each channel
     runs once, on the stacked inputs of every chain through it; every channel is
-    built before any input is drawn."""
+    built, and checked against the Dicke limit, before any input is drawn."""
     channels = {key: CloneChannel(*key)
                 for n, m, l, _ in chains for key in ((n, m), (m, l), (n, l))}
+    for ch in channels.values():
+        _check_dicke(ch)
     coords, mids, etas = [], {}, []
     for n, _, _, seed in chains:
         v = tensor_power_dicke(haar_random_pure(rng_from_seed(seed)), n)
@@ -255,11 +257,12 @@ def run_verify_all(seed, samples, tol):
     # Composition of cloning with measure-and-prepare, M <= 2, L <= 6.
     for m in (1, 2):
         for l in range(m, 7):
-            rep = verify_statement_b(m, l, haar_random_pure(rng_from_seed(seed + 13 * m + l)))
-            checks.append(_check(f"composition-fidelity", rep.predicted_fidelity,
-                                 rep.composed_fidelity, 1e-8, m=m, l=l))
-            checks.append(_check(f"composition-l-independence", rep.direct_fidelity,
-                                 rep.composed_fidelity, 1e-8, m=m, l=l))
+            composed = verify_statement_b(m, l, haar_random_pure(rng_from_seed(seed + 13 * m + l)))
+            checks.append(_check("composition-fidelity",
+                                 float((1 + bd.eta_opt(m, l) * bd.eta_meas_opt(l)) / 2),
+                                 composed, 1e-8, m=m, l=l))
+            checks.append(_check("composition-l-independence", float(bd.fidelity_meas_opt(m)),
+                                 composed, 1e-8, m=m, l=l))
 
     # Mixed symmetric inputs: cloner and measurement both scale linearly.
     rng = rng_from_seed(seed + 777)

@@ -33,9 +33,10 @@ cached) gives whole outputs; `apply_cloner` embeds them in the full space
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, sqrt
+from math import comb, inf, sqrt
 
 import numpy as np
 
@@ -73,18 +74,12 @@ class CloneChannel:
         if self.m_out < self.n_in:
             raise ValueError(f"m_out={self.m_out} must be >= n_in={self.n_in}")
 
-    @property
-    def eta_predicted(self):
-        n, m = self.n_in, self.m_out
-        return n * (m + 2) / (m * (n + 2))
-
 
 @dataclass(frozen=True)
 class CloneReport:
     n_in: int
     m_out: int
     eta_measured: float
-    eta_predicted: float
     fidelity_measured: float
     universality_spread: float
 
@@ -97,6 +92,16 @@ def apply_cloner(ch, rho_n):
                          "use apply_cloner_dicke")
     coords = symmetric_coords(rho_n, ch.n_in)
     return embed_dicke(hermitize(apply_cloner_dicke(ch, coords)))
+
+
+def _integer_in(value, lo, hi, message):
+    """value as an int, if it is an integer in lo..hi; else ValueError(message)."""
+    try:
+        if lo <= operator.index(value) <= hi:
+            return operator.index(value)
+    except TypeError:   # not an integer
+        pass
+    raise ValueError(message)
 
 
 def _check_dicke(ch):
@@ -190,7 +195,6 @@ def _certify(ch, batches):
         n_in=ch.n_in,
         m_out=ch.m_out,
         eta_measured=float(eta_sum / count),
-        eta_predicted=ch.eta_predicted,
         fidelity_measured=float(fid_sum / count),
         universality_spread=float(eta_max - eta_min),
     )
@@ -255,8 +259,7 @@ def certify_universality(ch, n_samples, seed):
     """Apply the channel to Haar-random tensor-power inputs, drawn as Dicke
     coordinates in batches of `_chunk_size`; the measured shrinking factor
     must not depend on the input."""
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
+    n_samples = _integer_in(n_samples, 2, inf, "need at least 2 samples")
     _check_dicke(ch)
     rng = rng_from_seed(seed)
     chunk = _chunk_size(ch)

@@ -33,7 +33,6 @@ M/(M+2).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,7 +45,7 @@ from .linalg import (
     rng_from_seed,
 )
 from .symspace import BLOCK_ENTRIES, symmetric_coords, tensor_power_dicke
-from .cloner import CloneChannel, apply_cloner_dicke
+from .cloner import CloneChannel, _integer_in, apply_cloner_dicke
 
 MAX_COPIES = 20
 MAX_SHOTS = 10 ** 7   # a time limit (streamed): about 0.5 s, 1.2 MB tracemalloc peak
@@ -59,26 +58,10 @@ _PHASES.flags.writeable = False
 class EstimationReport:
     m_copies: int
     fidelity_measured: float
-    fidelity_predicted: float      # (M+1)/(M+2)
     eta_measured: float
-    eta_predicted: float           # M/(M+2)
     rho_bar: np.ndarray            # 1-qubit reconstruction operator
-    mode: str                      # "exact-quadrature" | "monte-carlo"
-    quadrature_order: int | None
-    n_shots: int | None
-    seed: int | None
+    quadrature_order: int | None   # None on the Monte Carlo path
     statistical_error: float
-
-
-@dataclass(frozen=True)
-class CompositionReport:
-    """Cloner M→L composed with estimation on the L clones."""
-
-    m_copies: int
-    l_copies: int
-    composed_fidelity: float
-    predicted_fidelity: float      # (1 + eta(M,L) * eta_meas(L)) / 2
-    direct_fidelity: float         # (M+1)/(M+2), the L-independent value
 
 
 @lru_cache(maxsize=None)
@@ -132,13 +115,7 @@ def estimation_fidelity_exact(m, psi):
     v = tensor_power_dicke(psi, m)
     rho_bar = measure_and_prepare_dicke(np.outer(v, v.conj()))
     fid = pure_fidelity(psi, rho_bar)
-    return _report(m, fid, rho_bar, "exact-quadrature", len(sphere_quadrature(m)[1]), None, None, 0.0)
-
-
-def _report(m, fid, rho_bar, mode, quadrature_order, n_shots, seed, statistical_error):
-    """An EstimationReport of the fidelity fid measured on M copies."""
-    return EstimationReport(m, fid, (m + 1) / (m + 2), 2 * fid - 1, m / (m + 2), rho_bar, mode,
-                            quadrature_order, n_shots, seed, statistical_error)
+    return EstimationReport(m, fid, 2 * fid - 1, rho_bar, len(sphere_quadrature(m)[1]), 0.0)
 
 
 def _unit_qubit(psi):
@@ -150,12 +127,7 @@ def _unit_qubit(psi):
 
 def _check_copies(m):
     """The copy count m as an int, if it is an integer in 1..MAX_COPIES."""
-    try:
-        if 1 <= operator.index(m) <= MAX_COPIES:
-            return operator.index(m)
-    except TypeError:   # not an integer
-        pass
-    raise ValueError(f"m must be an integer in 1..{MAX_COPIES}, got {m}")
+    return _integer_in(m, 1, MAX_COPIES, f"m must be an integer in 1..{MAX_COPIES}, got {m}")
 
 
 def _scratch(k):
@@ -221,8 +193,8 @@ def estimate_monte_carlo(m, psi, n_shots, seed):
     the fidelity and W the sum of sqrt(u(1-u)) e^(i chi).
     """
     m = _check_copies(m)
-    if not 1 <= n_shots <= MAX_SHOTS:
-        raise ValueError(f"n_shots must be in 1..{MAX_SHOTS}, got {n_shots}")
+    n_shots = _integer_in(n_shots, 1, MAX_SHOTS,
+                          f"n_shots must be in 1..{MAX_SHOTS}, got {n_shots}")
     psi = _unit_qubit(psi)
     rng = rng_from_seed(seed)
     chunk = BLOCK_ENTRIES // 2
@@ -241,7 +213,7 @@ def estimate_monte_carlo(m, psi, n_shots, seed):
     basis = np.stack([psi, [-psi[1].conj(), psi[0].conj()]], axis=1)
     rho_bar = basis @ np.array([[fid, w.conjugate() / n_shots],
                                 [w / n_shots, 1 - fid]]) @ basis.conj().T
-    return _report(m, fid, hermitize(rho_bar), "monte-carlo", None, n_shots, seed, se)
+    return EstimationReport(m, fid, 2 * fid - 1, hermitize(rho_bar), None, se)
 
 
 def measure_and_prepare_channel(m, rho_m):
@@ -268,22 +240,13 @@ def measure_and_prepare_dicke(coords):
 
 
 def verify_statement_b(m, l, psi=None):
-    """Clone M→L, then measure-and-prepare on the L clones.
-
-    The composed estimation fidelity is (1 + eta(M,L) * eta_meas(L)) / 2,
-    which telescopes to (M+1)/(M+2) for every L <= DICKE_MAX.
-    """
+    """Clone M→L, then measure-and-prepare on the L clones: the composed
+    fidelity <psi|rho_bar|psi> as a float, psi = |0> by default. Statement B
+    says it equals (1 + eta_opt(M, L) eta_meas_opt(L)) / 2, which telescopes
+    to fidelity_meas_opt(M) for every L <= DICKE_MAX (`qclone.bounds`)."""
     ch = CloneChannel(m, l)
     psi = _unit_qubit([1, 0] if psi is None else psi)
     v = tensor_power_dicke(psi, m)
     rho_bar = measure_and_prepare_dicke(apply_cloner_dicke(ch, np.outer(v, v.conj())))
-    composed = pure_fidelity(psi, rho_bar)
-    predicted = (1 + ch.eta_predicted * l / (l + 2)) / 2
-    return CompositionReport(
-        m_copies=m,
-        l_copies=l,
-        composed_fidelity=composed,
-        predicted_fidelity=predicted,
-        direct_fidelity=(m + 1) / (m + 2),
-    )
+    return pure_fidelity(psi, rho_bar)
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import qclone
-from qclone.bounds import eta_meas_opt, eta_opt, fidelity_opt
+from qclone.bounds import eta_meas_opt, eta_opt, fidelity_meas_opt, fidelity_opt
 from qclone.cloner import (
     CloneChannel,
     apply_cloner,
@@ -118,9 +118,9 @@ def test_criterion_5_statement_b_composition():
     for m in (1, 2):
         for l in range(m, 7):
             psi = haar_random_pure(rng_from_seed(4000 + 11 * m + l))
-            rep = verify_statement_b(m, l, psi)
-            assert abs(rep.composed_fidelity - rep.predicted_fidelity) < 1e-8, (m, l)
-            assert abs(rep.composed_fidelity - rep.direct_fidelity) < 1e-8, (m, l)
+            composed = verify_statement_b(m, l, psi)
+            assert abs(composed - float((1 + eta_opt(m, l) * eta_meas_opt(l)) / 2)) < 1e-8, (m, l)
+            assert abs(composed - float(fidelity_meas_opt(m))) < 1e-8, (m, l)
 
 
 @announce("criterion 6: mixed/entangled symmetric inputs scale linearly (1e-9)")

@@ -189,6 +189,21 @@ class TestLedgerGrid:
             cli._ledger_grid_checks()
 
 
+LEDGER_ROWS = {   # verify-all row name -> its expected value from qclone.bounds, given (n, m, l)
+    "clone-eta": lambda n, m, l: bounds.eta_opt(n, m),
+    "clone-fidelity": lambda n, m, l: bounds.fidelity_opt(n, m),
+    "concat-chain-eta": lambda n, m, l: bounds.eta_opt(n, l),
+    "concat-direct-eta": lambda n, m, l: bounds.eta_opt(n, l),
+    "mixed-input-clone-eta": lambda n, m, l: bounds.eta_opt(n, m),
+    "mixed-input-measurement-eta": lambda n, m, l: bounds.eta_meas_opt(m),
+    "estimate-fidelity-exact": lambda n, m, l: bounds.fidelity_meas_opt(m),
+    "estimate-fidelity-mc": lambda n, m, l: bounds.fidelity_meas_opt(m),
+    "composition-fidelity":
+        lambda n, m, l: (1 + bounds.eta_opt(m, l) * bounds.eta_meas_opt(l)) / 2,
+    "composition-l-independence": lambda n, m, l: bounds.fidelity_meas_opt(m),
+}
+
+
 class TestVerifyAll:
     def test_deterministic_reports(self, tmp_path, capsys):
         # small sample count to keep the suite quick; byte-identity is the point
@@ -201,14 +216,22 @@ class TestVerifyAll:
 
     def test_report_schema(self, tmp_path, capsys):
         p = tmp_path / "r.json"
-        code, _, _ = run_cli(capsys, "verify-all", "--seed", "2",
-                             "--samples", "2", "--output", str(p))
-        assert code == 0
-        report = json.loads(p.read_text())
-        assert set(report) == {"config", "results", "checks"}
-        assert report["results"]["n_failed"] == 0
-        for c in report["checks"]:
-            assert set(c) >= {"name", "expected", "actual", "tolerance", "pass"}
+        for seed in ("2", "1"):
+            code, _, _ = run_cli(capsys, "verify-all", "--seed", seed,
+                                 "--samples", "2", "--output", str(p))
+            assert code == 0
+            report = json.loads(p.read_text())
+            assert set(report) == {"config", "results", "checks"}
+            assert report["results"]["n_failed"] == 0
+            for c in report["checks"]:
+                assert set(c) >= {"name", "expected", "actual", "tolerance", "pass"}
+            # every predicted value is the ledger's, as "p/q" or as a float at 12 digits
+            rows = [c for c in report["checks"] if c["name"] in LEDGER_ROWS]
+            assert len(rows) == 2 * 26 + 2 * 100 + 2 * 3 + 5 + 3 + 2 * 11
+            for c in rows:
+                value = LEDGER_ROWS[c["name"]](c["n"], c["m"], c["l"])
+                assert c["expected"] in (f"{value.numerator}/{value.denominator}",
+                                         f"{float(value):.12g}"), (seed, c)
 
 
 def counted_min_eigenvalue(monkeypatch):
@@ -374,6 +397,7 @@ CLONE = ["clone", "--n", "1", "--m", "2", "--samples", "2"]
     (["concat", "--n", "0", "--m", "2", "--l", "4"], 2),
     (["concat", "--n", "1", "--m", "1", "--l", "1"], 0),
     (["concat", "--n", "60", "--m", "60", "--l", "60"], 0),
+    (["concat", "--n", "1", "--m", "1", "--l", "1000000"], 2),
 ])
 def test_argument_contract(capsys, argv, code):
     try:
@@ -383,6 +407,21 @@ def test_argument_contract(capsys, argv, code):
     assert got == code
     if code == 2:
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["concat", "--n", "2000", "--m", "2000", "--l", "2000"],
+    ["concat", "--n", "1", "--m", "1", "--l", "1000000"],
+])
+def test_concat_checks_dicke_limit_before_drawing(monkeypatch, capsys, argv):
+    # every channel is checked as it is built, so no input is drawn and no stage runs
+    calls = []
+    for name in ("tensor_power_dicke", "measure_shrinking_dicke"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name: calls.append(_name))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: dicke path limited to m_out <= 60\n")
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,5 @@
 import tracemalloc
-from math import comb, factorial, sqrt
+from math import comb, factorial, nan, sqrt
 
 import numpy as np
 import pytest
@@ -347,8 +347,13 @@ class TestUniversality:
         assert rep.universality_spread < 1e-12
 
     def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            certify_universality(CloneChannel(1, 2), 1, seed=0)
+        for samples in (1, 2.5, 3.0, nan):
+            with pytest.raises(ValueError, match="need at least 2 samples"):
+                certify_universality(CloneChannel(1, 2), samples, seed=0)
+
+    def test_numpy_integer_sample_count(self):
+        rep = certify_universality(CloneChannel(1, 2), np.int64(5), seed=0)
+        assert rep == certify_universality(CloneChannel(1, 2), 5, seed=0)
 
     def test_seeded_reproducibility(self):
         a = certify_universality(CloneChannel(1, 3), 20, seed=9)

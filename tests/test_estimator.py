@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qclone.bounds import eta_meas_opt, eta_opt, fidelity_meas_opt
 from qclone.cloner import CloneChannel, apply_cloner, tensor_power_input
 from qclone.estimator import (
     MAX_COPIES,
@@ -234,10 +236,16 @@ class TestExactSampler:
         with pytest.raises(ValueError, match="unit 2-vector"):
             verify_statement_b(1, 3, psi)
 
-    @pytest.mark.parametrize("shots", [0, MAX_SHOTS + 1])
+    @pytest.mark.parametrize("shots", [0, MAX_SHOTS + 1, 2.5, 3.0, math.nan])
     def test_rejects_shot_count_outside_range(self, shots):
         with pytest.raises(ValueError, match="n_shots"):
             estimate_monte_carlo(2, KET0, shots, seed=1)
+
+    def test_numpy_integer_shot_count(self):
+        rep, ref = (estimate_monte_carlo(2, KET0, k, seed=1) for k in (np.int64(5), 5))
+        assert (rep.fidelity_measured, rep.statistical_error) == (ref.fidelity_measured,
+                                                                  ref.statistical_error)
+        assert rep.rho_bar.tobytes() == ref.rho_bar.tobytes()
 
 
 class TestPhaseKernel:
@@ -411,20 +419,26 @@ class TestMeasureAndPrepare:
             measure_and_prepare_channel(2, np.outer(singlet, singlet.conj()))
 
 
+def composition_opt(m, l):
+    """Statement B's composed fidelity from the ledger, (1 + eta(M,L) eta_meas(L)) / 2."""
+    return (1 + eta_opt(m, l) * eta_meas_opt(l)) / 2
+
+
 class TestStatementB:
     def test_m1_l2(self):
-        rep = verify_statement_b(1, 2)
-        assert abs(rep.composed_fidelity - 2 / 3) < 1e-8
-        assert abs(rep.predicted_fidelity - 2 / 3) < 1e-12
+        composed = verify_statement_b(1, 2)
+        assert type(composed) is float
+        assert abs(composed - float(composition_opt(1, 2))) < 1e-8
+        assert composition_opt(1, 2) == fidelity_meas_opt(1) == Fraction(2, 3)
 
     def test_identity_first_stage(self):
-        rep = verify_statement_b(2, 2)
-        assert abs(rep.composed_fidelity - 3 / 4) < 1e-8
+        composed = verify_statement_b(2, 2)
+        assert abs(composed - float(fidelity_meas_opt(2))) < 1e-8
 
     @pytest.mark.parametrize("l", [2, 4, 6, 8, 11, 30, 60])
     def test_telescoping_l_independence(self, l):
-        rep = verify_statement_b(1, l, haar_random_pure(rng_from_seed(l)))
-        assert abs(rep.composed_fidelity - 2 / 3) < 1e-8
+        composed = verify_statement_b(1, l, haar_random_pure(rng_from_seed(l)))
+        assert abs(composed - float(fidelity_meas_opt(1))) < 1e-8
 
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -433,9 +447,9 @@ class TestStatementB:
             verify_statement_b(1, 61)
 
     def test_sixty_to_sixty(self):
-        rep = verify_statement_b(60, 60, haar_random_pure(rng_from_seed(60)))
-        assert abs(rep.composed_fidelity - 61 / 62) < 1e-8
-        assert abs(rep.composed_fidelity - rep.predicted_fidelity) < 1e-8
+        composed = verify_statement_b(60, 60, haar_random_pure(rng_from_seed(60)))
+        assert abs(composed - float(fidelity_meas_opt(60))) < 1e-8
+        assert abs(composed - float(composition_opt(60, 60))) < 1e-8
 
 
 def test_composition_matches_manual_pipeline():
@@ -444,4 +458,4 @@ def test_composition_matches_manual_pipeline():
     rho1 = tensor_power_input(psi, 1)
     rho3 = apply_cloner(CloneChannel(1, 3), rho1)
     rho_bar = measure_and_prepare_channel(3, rho3)
-    assert abs(pure_fidelity(psi, rho_bar) - verify_statement_b(1, 3, psi).composed_fidelity) < 1e-12
+    assert abs(pure_fidelity(psi, rho_bar) - verify_statement_b(1, 3, psi)) < 1e-12
