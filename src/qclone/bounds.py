@@ -11,43 +11,46 @@ The identities among them (multiplicativity under concatenation, the
 measurement value as the many-clone limit, measurement never beating
 coherent cloning at finite M) are checked in exact arithmetic; the
 simulator's floats are compared against them only in the CLI checks.
+Every count must be an integer in range (a bool is not), else ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import inf
+
+from .linalg import _integer_in
+
+
+def _count(value, lo, name):
+    """value as an int, if it is an integer >= lo."""
+    return _integer_in(value, lo, inf, name + " must be an integer >= {lo}, got {value}")
 
 
 def eta_opt(n, m):
     """Optimal shrinking factor for the universal n→m cloner."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if m < n:
-        raise ValueError(f"m={m} must be >= n={n}")
+    n = _count(n, 1, "n")
+    m = _count(m, n, "m")
     return Fraction(n * (m + 2), m * (n + 2))
 
 
 def fidelity_opt(n, m):
     """Optimal single-clone fidelity on pure inputs; equals (1+eta_opt)/2."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if m < n:
-        raise ValueError(f"m={m} must be >= n={n}")
+    n = _count(n, 1, "n")
+    m = _count(m, n, "m")
     return Fraction(n * m + n + m, m * (n + 2))
 
 
 def eta_meas_opt(m):
     """Shrinking factor of optimal state estimation on m copies."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = _count(m, 1, "m")
     return Fraction(m, m + 2)
 
 
 def fidelity_meas_opt(m):
     """Optimal estimation fidelity on m copies."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = _count(m, 1, "m")
     return Fraction(m + 1, m + 2)
 
 

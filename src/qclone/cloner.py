@@ -33,7 +33,6 @@ cached) gives whole outputs; `apply_cloner` embeds them in the full space
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, inf, sqrt
@@ -42,6 +41,7 @@ import numpy as np
 
 from .linalg import (
     DegenerateInputError,
+    _integer_in,
     bloch_of,
     haar_random_pure_batch,
     hermitize,
@@ -63,16 +63,17 @@ MIN_BLOCH_LENGTH = 1e-6
 
 @dataclass(frozen=True)
 class CloneChannel:
-    """Descriptor of the universal cloner taking n_in originals to m_out clones."""
+    """Descriptor of the universal cloner taking n_in originals to m_out clones;
+    both are stored as ints."""
 
     n_in: int
     m_out: int
 
     def __post_init__(self):
-        if self.n_in < 1:
-            raise ValueError(f"n_in must be positive, got {self.n_in}")
-        if self.m_out < self.n_in:
-            raise ValueError(f"m_out={self.m_out} must be >= n_in={self.n_in}")
+        n = _integer_in(self.n_in, 1, inf, "n_in must be a positive integer, got {value}")
+        m = _integer_in(self.m_out, n, inf, "m_out={value} must be an integer >= n_in={lo}")
+        object.__setattr__(self, "n_in", n)
+        object.__setattr__(self, "m_out", m)
 
 
 @dataclass(frozen=True)
@@ -94,16 +95,6 @@ def apply_cloner(ch, rho_n):
     return embed_dicke(hermitize(apply_cloner_dicke(ch, coords)))
 
 
-def _integer_in(value, lo, hi, message):
-    """value as an int, if it is an integer in lo..hi; else ValueError(message)."""
-    try:
-        if lo <= operator.index(value) <= hi:
-            return operator.index(value)
-    except TypeError:   # not an integer
-        pass
-    raise ValueError(message)
-
-
 def _check_dicke(ch):
     if ch.m_out > DICKE_MAX:
         raise ValueError(f"dicke path limited to m_out <= {DICKE_MAX}")
@@ -112,10 +103,11 @@ def _check_dicke(ch):
 def _amplitudes(n, m):
     """The two factors of the channel, (M-N+1, N+1) each, uncached:
     C(M-N,w) amp[w,a] and amp[w,a] = sqrt(C(N,a) / C(M,a+w)). Input entry
-    (a, b) goes to (a+w, b+w) with k[w, a, b] = (C(M-N,w) amp[w,a]) amp[w,b]."""
+    (a, b) goes to (a+w, b+w) with k[w, a, b] = (C(M-N,w) amp[w,a]) amp[w,b];
+    each quotient is a correctly rounded ratio of two ints of binomial rows."""
+    row_n, row_m = [comb(n, a) for a in range(n + 1)], [comb(m, j) for j in range(m + 1)]
     ws = range(m - n + 1)
-    amp = np.array([[sqrt(comb(n, a) / comb(m, a + w)) for a in range(n + 1)]
-                    for w in ws])
+    amp = np.array([[sqrt(row_n[a] / row_m[a + w]) for a in range(n + 1)] for w in ws])
     cw = np.array([float(comb(m - n, w)) for w in ws])
     return cw[:, None] * amp, amp
 

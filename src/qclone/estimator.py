@@ -40,12 +40,13 @@ import numpy as np
 
 from .linalg import (
     PHYS_TOL,
+    _integer_in,
     hermitize,
     pure_fidelity,
     rng_from_seed,
 )
 from .symspace import BLOCK_ENTRIES, symmetric_coords, tensor_power_dicke
-from .cloner import CloneChannel, _integer_in, apply_cloner_dicke
+from .cloner import CloneChannel, apply_cloner_dicke
 
 MAX_COPIES = 20
 MAX_SHOTS = 10 ** 7   # a time limit (streamed): about 0.5 s, 1.2 MB tracemalloc peak
@@ -127,7 +128,12 @@ def _unit_qubit(psi):
 
 def _check_copies(m):
     """The copy count m as an int, if it is an integer in 1..MAX_COPIES."""
-    return _integer_in(m, 1, MAX_COPIES, f"m must be an integer in 1..{MAX_COPIES}, got {m}")
+    return _integer_in(m, 1, MAX_COPIES, "m must be an integer in {lo}..{hi}, got {value}")
+
+
+def _check_shots(n_shots):
+    """The shot count as an int, if it is an integer in 1..MAX_SHOTS."""
+    return _integer_in(n_shots, 1, MAX_SHOTS, "n_shots must be in {lo}..{hi}, got {value}")
 
 
 def _scratch(k):
@@ -172,8 +178,8 @@ def _draw(m, k, rng, scratch=None):
 def sample_candidates(m, psi, n_shots, rng):
     """Draw n_shots outcomes phi of the covariant measurement on |psi>^⊗M,
     phi = sqrt(u) psi + sqrt(1-u) e^(i chi) psi_perp, psi_perp = (-psi1*, psi0*),
-    with (u, e^(i chi)) from `_draw`."""
-    m = _check_copies(m)
+    with (u, e^(i chi)) from `_draw`; all n_shots candidates are held at once."""
+    m, n_shots = _check_copies(m), _check_shots(n_shots)
     psi = _unit_qubit(psi)
     u, phase = _draw(m, n_shots, rng)
     perp = np.array([-psi[1].conj(), psi[0].conj()])
@@ -192,9 +198,7 @@ def estimate_monte_carlo(m, psi, n_shots, seed):
     (psi, psi_perp) the mean of phi phi^† is [[F, W*/n], [W/n, 1-F]], with F
     the fidelity and W the sum of sqrt(u(1-u)) e^(i chi).
     """
-    m = _check_copies(m)
-    n_shots = _integer_in(n_shots, 1, MAX_SHOTS,
-                          f"n_shots must be in 1..{MAX_SHOTS}, got {n_shots}")
+    m, n_shots = _check_copies(m), _check_shots(n_shots)
     psi = _unit_qubit(psi)
     rng = rng_from_seed(seed)
     chunk = BLOCK_ENTRIES // 2

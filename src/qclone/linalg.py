@@ -12,6 +12,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 # Tolerance tiers: structural identities, eigenvalue positivity, physics.
@@ -28,6 +30,15 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 class DegenerateInputError(ValueError):
     """Raised when a shrinking factor is requested for a maximally mixed
     (zero Bloch length) reduced input, where the ratio is undefined."""
+
+
+def _integer_in(value, lo, hi, message):
+    """value as an int, if it is an integer (not a bool) in lo..hi; else
+    ValueError(message.format(value=value, lo=lo, hi=hi))."""
+    if type(value) is int or (type(value) is not bool and isinstance(value, numbers.Integral)):
+        if lo <= value <= hi:
+            return int(value)
+    raise ValueError(message.format(value=value, lo=lo, hi=hi))
 
 
 def rng_from_seed(seed):

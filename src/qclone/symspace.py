@@ -12,11 +12,7 @@ is constant on each class block. `symmetric_coords` projects a full-space
 input and checks its support in one pass over ρ: it accepts iff
 max|ρ - SρS| < tol/2, which puts both max|ρ - Sρ| and max|ρ - ρS| below
 tol; for a C-contiguous complex128 ρ it allocates no 2^n x 2^n temporary.
-`is_symmetric_support` is the same pass's verdict. `symmetric_floor` reads
-the same pass as a positivity certificate: with R = ρ - SρS, Weyl's
-inequality bounds the least eigenvalue of ρ's Hermitian part from below
-by that of the (n+1) x (n+1) coordinates (or 0) minus 2^n max|R|, so no
-2^n x 2^n eigensolve is needed when the bound is conclusive.
+`is_symmetric_support` is the same pass's verdict.
 
 `pseudo_mixture_decompose` writes any symmetric density operator as a
 signed combination of identical tensor-power pure projectors with weights
@@ -91,23 +87,6 @@ def embed_dicke(coords):
         raise ValueError(f"coords must be square (n+1)x(n+1), got {coords.shape}")
     v = dicke_basis(n)
     return v @ coords @ v.conj().T
-
-
-def symmetric_floor(op):
-    """(max|R|, floor) of a 2^n x 2^n operator from one `_support_pass`, where
-    R = op - S op S, S = V V†, and floor ≤ λ_min((op + op†)/2).
-
-    With c = V† op V and h = (c + c†)/2, (op + op†)/2 = V h V† + (R + R†)/2.
-    V h V† has the eigenvalues of h and zeros, and ‖(R + R†)/2‖₂ ≤ ‖R‖_F ≤
-    2^n max|R|, so by Weyl's inequality floor = min(λ_min(h), 0) - 2^n max|R|;
-    only the (n+1) x (n+1) h is diagonalized. An operator with a NaN or
-    infinite entry has a non-finite residual and floor -inf.
-    """
-    resid, coords = _support_pass(op)
-    if not np.isfinite(resid):
-        return resid, -np.inf
-    lam = float(np.linalg.eigvalsh((coords + coords.conj().T) / 2)[0])
-    return resid, min(lam, 0.0) - 2 ** (len(coords) - 1) * resid
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qclone.bounds import (
@@ -76,6 +78,24 @@ class TestMeasurementLedger:
                 assert eta_opt(m, l) >= eta_meas_opt(m)
                 if l < 10 ** 6 * m:
                     assert eta_opt(m, l) > eta_meas_opt(m)
+
+
+class TestIntegerCounts:
+    @pytest.mark.parametrize("bad", [2.5, 3.0, math.nan, True, -1])
+    def test_rejects_non_integer_counts(self, bad):
+        calls = [lambda: eta_opt(bad, 4), lambda: eta_opt(1, bad),
+                 lambda: fidelity_opt(bad, 4), lambda: fidelity_opt(1, bad),
+                 lambda: eta_meas_opt(bad), lambda: fidelity_meas_opt(bad)]
+        for call in calls:
+            with pytest.raises(ValueError, match="must be an integer >= 1, got"):
+                call()
+
+    def test_numpy_integer_counts(self):
+        n, m = np.int64(2), np.int64(3)
+        for got, want in [(eta_opt(n, m), eta_opt(2, 3)), (fidelity_opt(n, m), fidelity_opt(2, 3)),
+                          (eta_meas_opt(m), eta_meas_opt(3)),
+                          (fidelity_meas_opt(m), fidelity_meas_opt(3))]:
+            assert got == want and type(got.numerator) is int and type(got.denominator) is int
 
 
 class TestCheckIdentities:

@@ -5,13 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qclone import bounds, cli, cloner, linalg
+from qclone import bounds, cli, cloner, estimator, linalg, symspace
 from qclone.cli import build_parser, main, run_concat
 from qclone.cloner import (CloneChannel, apply_cloner, apply_cloner_dicke,
                            measure_shrinking_dicke, tensor_power_input)
 from qclone.estimator import MAX_SHOTS
-from qclone.linalg import haar_random_pure, min_eigenvalue, rng_from_seed
-from qclone.symspace import embed_dicke, symmetric_floor, tensor_power_dicke
+from qclone.linalg import haar_random_pure, min_eigenvalue, partial_trace, rng_from_seed
+from qclone.symspace import _support_pass, tensor_power_dicke
 
 
 def run_cli(capsys, *argv):
@@ -234,78 +234,56 @@ class TestVerifyAll:
                                          f"{float(value):.12g}"), (seed, c)
 
 
-def counted_min_eigenvalue(monkeypatch):
-    """Count the dense eigensolves of `linalg.min_eigenvalue`, under every
-    name it is bound to."""
-    calls = []
-
-    def counting(op):
-        calls.append(np.shape(op))
-        return min_eigenvalue(op)
-
-    for module in (cli, linalg):
-        monkeypatch.setattr(module, "min_eigenvalue", counting)
-    return calls
-
-
 def positivity_row(checks):
     (row,) = [c for c in checks if c["name"] == "sanity-min-eigenvalue"]
     return row
 
 
 class TestSanityPositivity:
-    def test_floor_agrees_with_dense_over_seeds(self, monkeypatch):
-        # every _sanity_checks cell of verify-all at seeds 1-20: the Weyl floor
-        # is below the dense least eigenvalue and the row has the dense verdict
+    def test_floor_agrees_with_dense_over_seeds(self):
+        # every _sanity_checks cell of verify-all at seeds 1-20 against the
+        # dense oracle, apply_cloner's 2^M embedding of the same output: the
+        # positivity verdict at the -1e-10 floor, the symmetric support and
+        # identical reductions the two constant rows stand for, and the trace
         cells = {(n, m, sanity_seed)
                  for seed in range(1, 21) for n, m, _, sanity_seed in cli.clone_cells(seed)}
         assert len(cells) == 520
-        seen = []
-        monkeypatch.setattr(cli, "symmetric_floor", lambda op: seen.append(op) or symmetric_floor(op))
         for n, m, cell_seed in sorted(cells):
-            checks = cli._sanity_checks(n, m, cell_seed)
-            (out,) = seen
-            seen.clear()
-            resid, floor = symmetric_floor(out)
-            dense = min_eigenvalue(out)
-            assert floor <= dense + 1e-13, (n, m, cell_seed)
-            assert positivity_row(checks)["pass"] == (dense >= -1e-10) == (floor >= -1e-10)
-            (row,) = [c for c in checks if c["name"] == "sanity-symmetric-residual"]
-            assert row["actual"] == resid
+            checks = {c["name"]: c for c in cli._sanity_checks(n, m, cell_seed)}
+            psi = haar_random_pure(rng_from_seed(cell_seed))
+            out = apply_cloner(CloneChannel(n, m), tensor_power_input(psi, n))
+            assert checks["sanity-min-eigenvalue"]["pass"] == (min_eigenvalue(out) >= -1e-10)
+            assert _support_pass(out)[0] < 1e-11, (n, m, cell_seed)
+            reductions = [partial_trace(out, {q}, m) for q in range(m)]
+            assert max(np.max(np.abs(r - reductions[0])) for r in reductions) < 1e-11
+            assert abs(checks["sanity-trace"]["actual"] - out.trace().real) <= 1e-15
+            for name in ("sanity-symmetric-residual", "sanity-reductions-identical"):
+                assert checks[name]["actual"] == 0.0 and checks[name]["pass"]
 
     @pytest.mark.parametrize("lam,verdict", [(-1e-9, False), (-1e-11, True)])
     def test_embedded_eigenvalue_decides(self, monkeypatch, lam, verdict):
-        # a symmetric output with least eigenvalue lam: -1e-9 fails and -1e-11
-        # passes; the floor is within rounding of lam, so only the failing
-        # one is inconclusive and goes to the dense route
+        # an engine output with least eigenvalue lam: -1e-9 fails and -1e-11
+        # passes, read from the (M+1)x(M+1) output itself
         rng = rng_from_seed(910)
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
-        out = embed_dicke((q * [lam, 0.1, 0.2, 0.3, 0.4 - lam]) @ q.conj().T)
-        monkeypatch.setattr(cli, "apply_cloner", lambda ch, rho: out)
-        calls = counted_min_eigenvalue(monkeypatch)
+        out = (q * [lam, 0.1, 0.2, 0.3, 0.4 - lam]) @ q.conj().T
+        monkeypatch.setattr(cli, "apply_cloner_dicke", lambda ch, coords: out)
         assert positivity_row(cli._sanity_checks(2, 4, 1))["pass"] is verdict
-        assert calls == ([] if verdict else [(16, 16)])
-
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_off_subspace_weight_goes_dense(self, monkeypatch, sign):
-        # weight 1e-6 outside the symmetric subspace makes the bound
-        # inconclusive; the dense eigensolve then decides both ways
-        singlet = np.kron([0, 1, -1, 0], [1, 0, 0, 0]) / np.sqrt(2)
-        psi = haar_random_pure(rng_from_seed(920))
-        out = apply_cloner(CloneChannel(1, 4), tensor_power_input(psi, 1))
-        out = out + sign * 1e-6 * np.outer(singlet, singlet)
-        assert symmetric_floor(out)[1] < -1e-10
-        monkeypatch.setattr(cli, "apply_cloner", lambda ch, rho: out)
-        calls = counted_min_eigenvalue(monkeypatch)
-        assert positivity_row(cli._sanity_checks(1, 4, 1))["pass"] is (sign > 0)
-        assert calls == [(16, 16)]
-        assert (min_eigenvalue(out) >= -1e-10) is (sign > 0)
 
     def test_verify_all_runs_no_dense_eigensolve(self, monkeypatch):
-        calls = counted_min_eigenvalue(monkeypatch)
-        results, _ = cli.run_verify_all(1, 50, 1e-9)
-        assert results["n_failed"] == 0
-        assert calls == []
+        # verify-all stays in Dicke coordinates: no isometry, support pass,
+        # dense partial trace or dense eigensolve, under any name they are bound to
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify-all left Dicke coordinates")
+
+        names = ("dicke_basis", "_support_pass", "partial_trace", "min_eigenvalue")
+        for module in (cli, cloner, estimator, linalg, symspace):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        results, checks = cli.run_verify_all(1, 50, 1e-9)
+        assert (results["n_checks"], results["n_failed"]) == (554, 0)
+        assert all(c["pass"] for c in checks)
 
 
 def test_physics_guard_exits_1_without_traceback(capsys, monkeypatch):

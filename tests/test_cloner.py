@@ -116,6 +116,19 @@ class TestChannelDescriptor:
         with pytest.raises(ValueError):
             CloneChannel(0, 2)
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, nan, True, -1])
+    def test_rejects_non_integer_counts(self, bad):
+        with pytest.raises(ValueError, match="n_in must be a positive integer"):
+            CloneChannel(bad, 4)
+        with pytest.raises(ValueError, match="m_out=.* must be an integer >= n_in=1"):
+            CloneChannel(1, bad)
+
+    def test_numpy_integer_counts_are_stored_as_ints(self):
+        ch = CloneChannel(np.int64(2), np.int64(3))
+        assert ch == CloneChannel(2, 3) and hash(ch) == hash(CloneChannel(2, 3))
+        assert type(ch.n_in) is int and type(ch.m_out) is int
+        assert certify_universality(ch, 5, 1) == certify_universality(CloneChannel(2, 3), 5, 1)
+
 
 class TestApplyCloner:
     def test_identity_when_m_equals_n(self):
@@ -203,6 +216,18 @@ class TestDickePath:
             coords /= coords.trace()
             fast = apply_cloner_dicke(CloneChannel(n, m), coords)
             assert np.array_equal(fast, loop_dicke_cloner(n, m, coords))
+
+    def test_amplitudes_match_per_entry_binomials(self):
+        # one binomial row per call divides the same ints as two comb calls
+        # per entry, so both factors are bit-identical on every cell
+        for m in range(1, DICKE_MAX + 1):
+            for n in range(1, m + 1):
+                ws = range(m - n + 1)
+                amp = np.array([[sqrt(comb(n, a) / comb(m, a + w)) for a in range(n + 1)]
+                                for w in ws])
+                left = np.array([float(comb(m - n, w)) for w in ws])[:, None] * amp
+                got_left, got_amp = cloner._amplitudes(n, m)
+                assert np.array_equal(got_left, left) and np.array_equal(got_amp, amp), (n, m)
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 7), (6, 60)])
     def test_batch_matches_single_inputs(self, n, m):

@@ -236,16 +236,20 @@ class TestExactSampler:
         with pytest.raises(ValueError, match="unit 2-vector"):
             verify_statement_b(1, 3, psi)
 
-    @pytest.mark.parametrize("shots", [0, MAX_SHOTS + 1, 2.5, 3.0, math.nan])
+    @pytest.mark.parametrize("shots", [0, MAX_SHOTS + 1, 2.5, 3.0, math.nan, -1, True])
     def test_rejects_shot_count_outside_range(self, shots):
         with pytest.raises(ValueError, match="n_shots"):
             estimate_monte_carlo(2, KET0, shots, seed=1)
+        with pytest.raises(ValueError, match="n_shots"):
+            sample_candidates(2, KET0, shots, rng_from_seed(1))
 
     def test_numpy_integer_shot_count(self):
         rep, ref = (estimate_monte_carlo(2, KET0, k, seed=1) for k in (np.int64(5), 5))
         assert (rep.fidelity_measured, rep.statistical_error) == (ref.fidelity_measured,
                                                                   ref.statistical_error)
         assert rep.rho_bar.tobytes() == ref.rho_bar.tobytes()
+        a, b = (sample_candidates(2, KET0, k, rng_from_seed(1)) for k in (np.int64(5), 5))
+        assert a.tobytes() == b.tobytes()
 
 
 class TestPhaseKernel:

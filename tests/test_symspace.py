@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qclone import symspace
-from qclone.linalg import PSD_TOL, haar_random_pure, kron_power, min_eigenvalue, rng_from_seed
+from qclone.linalg import PSD_TOL, haar_random_pure, kron_power, rng_from_seed
 from qclone.symspace import (
     _support_pass,
     dicke_basis,
@@ -18,7 +18,6 @@ from qclone.symspace import (
     random_symmetric_density,
     random_symmetric_dicke,
     symmetric_coords,
-    symmetric_floor,
     symmetrizer,
     tensor_power_dicke,
 )
@@ -171,7 +170,6 @@ class TestSupportPass:
         s = symmetrizer(n)
         x = rng.standard_normal((2 ** n,) * 2) + 1j * rng.standard_normal((2 ** n,) * 2)
         resid, _ = _support_pass(x)
-        assert symmetric_floor(x)[0] == resid
         assert abs(resid - np.max(np.abs(x - s @ x @ s))) < 1e-13
 
     @pytest.mark.parametrize("n", [3, 6, 9])
@@ -185,7 +183,6 @@ class TestSupportPass:
             monkeypatch.setattr(symspace, "BLOCK_ENTRIES", entries)
             other_resid, other_coords = _support_pass(rho)
             assert other_resid == resid
-            assert symmetric_floor(rho)[0] == resid
             assert np.array_equal(other_coords, coords)
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -235,8 +232,6 @@ class TestSupportPass:
                 with pytest.raises(ValueError):
                     symmetric_coords(rho)
                 assert is_symmetric_support(rho) is False
-                resid, floor = symmetric_floor(rho)
-                assert not np.isfinite(resid) and floor == -np.inf
 
     def test_contiguous_input_is_not_copied(self):
         # a C-contiguous complex128 input is read in place: the pass's peak
@@ -258,7 +253,7 @@ class TestSupportPass:
     @pytest.mark.parametrize("shape", [(4, 8), (3, 3), (6, 6), (1, 1), (4,), (2, 2, 2), ()])
     def test_rejects_bad_shapes(self, shape):
         op = np.zeros(shape, dtype=complex)
-        for check in (_support_pass, is_symmetric_support, symmetric_coords, symmetric_floor):
+        for check in (_support_pass, is_symmetric_support, symmetric_coords):
             with pytest.raises(ValueError):
                 check(op)
 
@@ -272,55 +267,6 @@ class TestSupportPass:
     def test_symmetric_coords_rejects_outside_weight(self):
         with pytest.raises(ValueError):
             symmetric_coords(np.outer(SINGLET, SINGLET.conj()))
-
-
-class TestSymmetricFloor:
-    @staticmethod
-    def indefinite_coords(rng, n, lam):
-        """Hermitian (n+1)x(n+1) coordinates with least eigenvalue lam."""
-        q, _ = np.linalg.qr(rng.standard_normal((n + 1, n + 1))
-                            + 1j * rng.standard_normal((n + 1, n + 1)))
-        eig = np.concatenate(([lam], rng.uniform(0.1, 1.0, n)))
-        return (q * eig) @ q.conj().T
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_floor_is_a_lower_bound(self, n):
-        # symmetric, indefinite, off-subspace and non-Hermitian operators alike
-        rng = rng_from_seed(870 + n)
-        d = 2 ** n
-        g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / d
-        ops = [embed_dicke(ginibre_coords(rng, n)), generic_density(rng, n),
-               embed_dicke(self.indefinite_coords(rng, n, -1e-3)),
-               embed_dicke(ginibre_coords(rng, n)) + 1e-9 * g, g]
-        for op in ops:
-            resid, floor = symmetric_floor(op)
-            assert resid == _support_pass(op)[0]
-            assert floor <= min_eigenvalue(op) + 1e-13
-
-    @pytest.mark.parametrize("n", [1, 4, 8])
-    def test_embedded_operator_reads_its_coordinates(self, n):
-        # on the symmetric subspace the floor is the coordinates' least
-        # eigenvalue up to 2^n max|R| of rounding: -1e-9 is seen, not hidden
-        rng = rng_from_seed(880 + n)
-        coords = self.indefinite_coords(rng, n, -1e-9)
-        op = embed_dicke(coords)
-        resid, floor = symmetric_floor(op)
-        assert 2 ** n * resid < 1e-13
-        assert abs(floor - np.linalg.eigvalsh(coords)[0]) < 1e-13
-        assert floor < -1e-10 and min_eigenvalue(op) < -1e-10
-
-    def test_off_subspace_weight_widens_the_bound(self):
-        # a positive operator with a singlet admixture: the floor is the
-        # Weyl bound min(λ_min(h), 0) - 2^n max|R| and falls far below 0
-        n = 3
-        singlet = np.kron(SINGLET, [1, 0])
-        op = embed_dicke(ginibre_coords(rng_from_seed(890), n)) + 1e-6 * np.outer(singlet, singlet)
-        resid, floor = symmetric_floor(op)
-        _, coords = _support_pass(op)
-        lam = np.linalg.eigvalsh((coords + coords.conj().T) / 2)[0]
-        assert resid > 1e-7
-        assert floor == min(lam, 0.0) - 2 ** n * resid
-        assert floor < -1e-10 <= min_eigenvalue(op)
 
 
 class TestDickeEmbedding:
