@@ -26,8 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds as bd
-from .cloner import (CloneChannel, _check_dicke, apply_cloner_dicke, certify_universality,
-                     measure_shrinking_dicke)
+from .cloner import (CloneChannel, _check_dicke, _output_qubit, _shrinking, _shrinking_pieces,
+                     apply_cloner_dicke, certify_cells, certify_universality)
 from .estimator import (
     MAX_SHOTS,
     estimate_monte_carlo,
@@ -106,9 +106,13 @@ def run_bounds(n, m, l):
 
 
 def run_clone(n, m, samples, seed, tol):
-    ch = CloneChannel(n, m)
-    rep = certify_universality(ch, samples, seed)
-    exact = bd.eta_opt(n, m)
+    rep = certify_universality(CloneChannel(n, m), samples, seed)
+    return _clone_report(rep, samples, seed, tol)
+
+
+def _clone_report(rep, samples, seed, tol):
+    """(results, checks) of one certified clone cell."""
+    n, m, exact = rep.n_in, rep.m_out, bd.eta_opt(rep.n_in, rep.m_out)
     # The outputs are Dicke coordinates: symmetric by construction, so the residual is 0.
     checks = [
         _check("clone-eta", exact, rep.eta_measured, tol, n=n, m=m),
@@ -161,29 +165,36 @@ def run_concat(n, m, l, seed, tol):
 
 
 def run_concat_chains(chains, tol):
-    """(results, checks) of each chain (n, m, l, seed), in chain order. Each channel
-    runs once, on the stacked inputs of every chain through it; every channel is
-    built, and checked against the Dicke limit, before any input is drawn."""
-    channels = {key: CloneChannel(*key)
-                for n, m, l, _ in chains for key in ((n, m), (m, l), (n, l))}
+    """(results, checks) of each chain (n, m, l, seed), in chain order: one input
+    batch per n, one output-qubit product per channel and one tail for all three
+    stages. Every channel is built and checked before any input is drawn."""
+    keys = dict.fromkeys(key for n, m, l, _ in chains for key in ((n, m), (m, l), (n, l)))
+    channels = {key: CloneChannel(*key) for key in keys}
     for ch in channels.values():
         _check_dicke(ch)
-    coords, mids, etas = [], {}, []
-    for n, _, _, seed in chains:
-        v = tensor_power_dicke(haar_random_pure(rng_from_seed(seed)), n)
-        coords.append(np.outer(v, v.conj()))
-    for a, b in ((0, 1), (0, 2), (1, 2)):   # stage 1, direct, stage 2 on the stage-1 outputs
-        groups, eta = {}, np.empty(len(chains))
+    inputs, mids, pieces = {}, {}, []   # chain index -> (coordinates, qubit): input, stage-1 output
+    for n in dict.fromkeys(c[0] for c in chains):
+        idx = [i for i, c in enumerate(chains) if c[0] == n]
+        psi = np.array([haar_random_pure(rng_from_seed(chains[i][3])) for i in idx])
+        v = tensor_power_dicke(psi, n)
+        coords = v[:, :, None] * v[:, None, :].conj()
+        inputs.update(zip(idx, zip(coords, reduced_qubit_from_dicke(coords))))
+    for stage, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):   # stage 1, direct, stage 2
+        groups, source = {}, mids if a else inputs
         for i, c in enumerate(chains):
             groups.setdefault((c[a], c[b]), []).append(i)
         for key, idx in groups.items():
-            batch = np.stack([(mids if a else coords)[i] for i in idx])
-            eta[idx] = measure_shrinking_dicke(channels[key], batch)[0]
-            if b == 1:   # stage 1 keeps its outputs for stage 2
-                mids.update(zip(idx, apply_cloner_dicke(channels[key], batch)))
-        etas.append(eta.tolist())
+            batch = np.stack([source[i][0] for i in idx])
+            pieces.append(((stage, idx), np.stack([source[i][1] for i in idx]),
+                           _output_qubit(channels[key], batch)))
+            if b == 1:   # stage 2 runs on the stage-1 outputs
+                out = apply_cloner_dicke(channels[key], batch)
+                mids.update(zip(idx, zip(out, reduced_qubit_from_dicke(out))))
+    etas = np.empty((3, len(chains)))
+    for (stage, idx), eta, _ in _shrinking_pieces(pieces):
+        etas[stage, idx] = eta
     reports = []
-    for (n, m, l, seed), e1, direct, e2 in zip(chains, *etas):
+    for (n, m, l, seed), e1, direct, e2 in zip(chains, *etas.tolist()):
         chain, exact = e1 * e2, bd.eta_opt(n, l)
         checks = [
             _check("concat-chain-eta", exact, chain, tol, n=n, m=m, l=l),
@@ -242,8 +253,10 @@ def run_verify_all(seed, samples, tol):
         raise ValueError(f"samples must be at most {MAX_SHOTS // 200}: Monte Carlo cells "
                          f"draw 200 shots per sample, at most {MAX_SHOTS}")
     checks = _ledger_grid_checks()
-    for n, m, clone_seed, sanity_seed in clone_cells(seed):
-        checks.extend(run_clone(n, m, samples, clone_seed, tol)[1])
+    cells = clone_cells(seed)
+    channels = [(CloneChannel(n, m), clone_seed) for n, m, clone_seed, _ in cells]
+    for rep, (n, m, clone_seed, sanity_seed) in zip(certify_cells(channels, samples), cells):
+        checks.extend(_clone_report(rep, samples, clone_seed, tol)[1])
         checks.extend(_sanity_checks(n, m, sanity_seed))
     for _, cs in run_concat_chains(concat_chains(seed), tol):
         checks.extend(cs)
@@ -264,16 +277,17 @@ def run_verify_all(seed, samples, tol):
             checks.append(_check("composition-l-independence", float(bd.fidelity_meas_opt(m)),
                                  composed, 1e-8, m=m, l=l))
 
-    # Mixed symmetric inputs: cloner and measurement both scale linearly.
+    # Mixed symmetric inputs: cloner and measurement both scale linearly; one tail.
     rng = rng_from_seed(seed + 777)
-    for n in (1, 2, 3):
-        coords = random_symmetric_dicke(n, rng, min_bloch=0.1)
-        s_in = bloch_of(reduced_qubit_from_dicke(coords))
+    mixed = [(n, random_symmetric_dicke(n, rng, min_bloch=0.1)) for n in (1, 2, 3)]
+    q_in = np.array([reduced_qubit_from_dicke(coords) for _, coords in mixed])
+    etas, _ = _shrinking(q_in, np.array([_output_qubit(CloneChannel(n, n + 2), coords)
+                                         for n, coords in mixed]))
+    for (n, coords), q, eta in zip(mixed, q_in, etas):
         m = n + 2
-        eta, _ = measure_shrinking_dicke(CloneChannel(n, m), coords)
         checks.append(_check("mixed-input-clone-eta", bd.eta_opt(n, m), eta, tol, n=n, m=m))
         rho_bar = measure_and_prepare_dicke(coords)
-        scale = np.linalg.norm(bloch_of(rho_bar)) / np.linalg.norm(s_in)
+        scale = np.linalg.norm(bloch_of(rho_bar)) / np.linalg.norm(bloch_of(q))
         checks.append(_check("mixed-input-measurement-eta", bd.eta_meas_opt(n),
                              scale, tol, m=n))
 

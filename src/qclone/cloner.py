@@ -13,17 +13,17 @@ symmetric input, for every 1 ≤ N ≤ M ≤ 60, and forms one output qubit
 only: the engine moves input entry (a, b) to (a+w, b+w), so that qubit is
 linear in the input diagonal and superdiagonal through 2N+1 numbers per
 (N, M), formed from the channel's factors (`_amplitudes`) and cached
-(`_transfer`, the module's only cache). One batched core
-(`measure_shrinking_dicke`) measures input and output qubit, shrinking
-factor and fidelity of s inputs (s, N+1, N+1) with two small products and
-runs every guard, trace kept within 1e-10 included, on arrays.
-`certify_universality` draws Haar tensor powers in chunks of s = max(1,
-BLOCK_ENTRIES // (N+1)²), whose input coordinates stay within
-`symspace.BLOCK_ENTRIES` complex entries, and keeps only running sums and
-extremes: memory does not grow with the sample count. Certification never
-forms a 2^N or 2^M operator nor an (M+1)×(M+1) output. `measure_shrinking`
-is the batch of one; it takes a full-space operator and gets its support
-check and coordinates from one pass (`symmetric_coords`).
+(`_transfer`, the module's only cache). The product `_output_qubit` forms
+the output qubits of s inputs (s, N+1, N+1) per channel and guards their
+trace (within 1e-10); the channel-free tail `_shrinking` forms Bloch
+vectors, shrinking factor and fidelity row by row, with the other guards,
+on the joined rows of many channels (`_shrinking_pieces`). `certify_cells`
+draws Haar tensor powers per cell in chunks of s = max(1, BLOCK_ENTRIES //
+(N+1)²), whose input coordinates stay within `symspace.BLOCK_ENTRIES`
+complex entries, and keeps running sums; a tail takes chunks while its rows
+stay within the chunk size of the channel that opened it, and runs before
+the next chunk is drawn, so memory does not grow with the sample count.
+Certification never forms a 2^N or 2^M operator nor an (M+1)×(M+1) output.
 
 `apply_cloner_dicke` (M-N+1 shifted blocks from the same factors, nothing
 cached) gives whole outputs; `apply_cloner` embeds them in the full space
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, inf, sqrt
 
 import numpy as np
@@ -164,47 +165,22 @@ def measure_shrinking(ch, rho_n):
 
     Requires a non-degenerate reduced input (Bloch length >= 1e-6) and
     asserts the output Bloch vector is parallel to the input one. This is
-    the certification core on a batch of one input.
+    the certification core on one input.
     """
-    return _certify(ch, [symmetric_coords(rho_n, ch.n_in)[None]])
-
-
-def _certify(ch, batches):
-    """CloneReport over every input of `batches`, an iterable of Dicke
-    coordinate arrays (s, N+1, N+1) of accepted inputs: mean shrinking factor
-    and fidelity and the spread of the shrinking factors. Only running sums
-    and extremes outlive a batch; no input or output leaves Dicke coordinates."""
-    count = 0
-    eta_sum = fid_sum = 0.0
-    eta_min, eta_max = np.inf, -np.inf
-    for coords in batches:
-        etas, fids = measure_shrinking_dicke(ch, coords)
-        count += len(etas)
-        eta_sum += etas.sum()
-        fid_sum += fids.sum()
-        eta_min, eta_max = min(eta_min, etas.min()), max(eta_max, etas.max())
-    return CloneReport(
-        n_in=ch.n_in,
-        m_out=ch.m_out,
-        eta_measured=float(eta_sum / count),
-        fidelity_measured=float(fid_sum / count),
-        universality_spread=float(eta_max - eta_min),
-    )
+    eta, fid = measure_shrinking_dicke(ch, symmetric_coords(rho_n, ch.n_in))
+    return CloneReport(ch.n_in, ch.m_out, float(eta), float(fid), 0.0)
 
 
 def measure_shrinking_dicke(ch, coords):
-    """Shrinking factor and direction-state fidelity of each input of the
-    batch `coords` (s, N+1, N+1), or of one input (N+1, N+1), from the output
-    qubit through `_transfer`; raises if any reduced input is degenerate,
-    any output trace differs from its input trace by more than 1e-10, any
-    output Bloch vector is rotated or any output qubit is not Hermitian."""
+    """Shrinking factor and direction-state fidelity of each input of the batch
+    `coords` (s, N+1, N+1), or of one input (N+1, N+1): product, then tail."""
+    return _shrinking(reduced_qubit_from_dicke(coords), _output_qubit(ch, coords))
+
+
+def _output_qubit(ch, coords):
+    """One clone's qubit (..., 2, 2) of each input (..., N+1, N+1), through
+    `_transfer`; raises if an output trace is off its input's by over 1e-10."""
     _check_dicke(ch)
-    s_in = bloch_of(reduced_qubit_from_dicke(coords))
-    len_in = np.linalg.norm(s_in, axis=-1)
-    if len_in.min() < MIN_BLOCH_LENGTH:
-        raise DegenerateInputError(
-            f"reduced input Bloch length {len_in.min():.2e} below {MIN_BLOCH_LENGTH:.0e}; "
-            "shrinking factor undefined")
     t_diag, t_off = _transfer(ch.n_in, ch.m_out)
     diag = np.diagonal(coords, axis1=-2, axis2=-1)
     p00, p11, trace = np.moveaxis(diag @ t_diag, -1, 0)
@@ -212,8 +188,19 @@ def measure_shrinking_dicke(ch, coords):
     if drift.max() > 1e-10:
         raise RuntimeError(f"channel output trace differs from input trace by {drift.max():.3e}")
     p01 = np.diagonal(coords, 1, axis1=-2, axis2=-1) @ t_off
-    out_qubit = np.stack((p00, p01, np.conj(p01), p11), axis=-1).reshape(p00.shape + (2, 2))
-    s_out = bloch_of(hermitize(out_qubit))
+    return np.stack((p00, p01, np.conj(p01), p11), axis=-1).reshape(p00.shape + (2, 2))
+
+
+def _shrinking(q_in, q_out):
+    """Shrinking factor and direction-state fidelity of each row of qubits (..., 2, 2);
+    raises on a degenerate input, a non-Hermitian output or a rotated output."""
+    s_in = bloch_of(q_in)
+    len_in = np.linalg.norm(s_in, axis=-1)
+    if len_in.min() < MIN_BLOCH_LENGTH:
+        raise DegenerateInputError(
+            f"reduced input Bloch length {len_in.min():.2e} below {MIN_BLOCH_LENGTH:.0e}; "
+            "shrinking factor undefined")
+    s_out = bloch_of(hermitize(q_out))
     len_out = np.linalg.norm(s_out, axis=-1)
     # Angle via the perpendicular residual; arccos of the normalized dot
     # product cannot resolve angles below ~1e-8.
@@ -222,7 +209,18 @@ def measure_shrinking_dicke(ch, coords):
     angle = np.arcsin(np.clip(np.linalg.norm(perp, axis=-1) / len_out, 0.0, 1.0))
     if angle.max() > 1e-9:
         raise RuntimeError(f"output Bloch vector rotated by {angle.max():.3e} rad")
-    return len_out / len_in, pure_fidelity(_direction_state(s_in), out_qubit)
+    return len_out / len_in, pure_fidelity(_direction_state(s_in), q_out)
+
+
+def _shrinking_pieces(pieces):
+    """(owner, etas, fids) of each piece (owner, q_in, q_out), stacked qubits (s, 2, 2),
+    in order, from one `_shrinking` call on the joined rows; no pieces give none."""
+    if not pieces:
+        return []
+    owners, q_in, q_out = zip(*pieces)   # a lone piece is measured in place, not copied
+    etas, fids = _shrinking(*(q[0] if len(q) == 1 else np.concatenate(q) for q in (q_in, q_out)))
+    ends = list(accumulate(len(q) for q in q_in))
+    return [(o, etas[a:b], fids[a:b]) for o, a, b in zip(owners, [0] + ends, ends)]
 
 
 def _direction_state(s):
@@ -250,13 +248,41 @@ def _haar_tensor_powers(rng, count, n):
 def certify_universality(ch, n_samples, seed):
     """Apply the channel to Haar-random tensor-power inputs, drawn as Dicke
     coordinates in batches of `_chunk_size`; the measured shrinking factor
-    must not depend on the input."""
+    must not depend on the input. The batch of one of `certify_cells`."""
+    return certify_cells([(ch, seed)], n_samples)[0]
+
+
+def certify_cells(cells, n_samples):
+    """One CloneReport per cell (channel, seed), each equal to the cell's own
+    `certify_universality`: the cell keeps its stream, chunks and running sums,
+    and only the tail joins chunks of many cells (see the module docstring)."""
     n_samples = _integer_in(n_samples, 2, inf, "need at least 2 samples")
-    _check_dicke(ch)
-    rng = rng_from_seed(seed)
-    chunk = _chunk_size(ch)
-    return _certify(ch, (_haar_tensor_powers(rng, min(chunk, n_samples - i), ch.n_in)
-                         for i in range(0, n_samples, chunk)))
+    for ch, _ in cells:
+        _check_dicke(ch)
+    stats = [(0.0, 0.0, inf, -inf)] * len(cells)   # eta and fid sums, eta min and max
+    pending, room = [], 0   # the open tail's pieces and the rows it still takes
+
+    def run_tail():
+        for i, etas, fids in _shrinking_pieces(pending):
+            s = stats[i]
+            stats[i] = (s[0] + etas.sum(), s[1] + fids.sum(), min(s[2], etas.min()),
+                        max(s[3], etas.max()))
+        pending.clear()
+
+    for i, (ch, seed) in enumerate(cells):
+        rng, chunk = rng_from_seed(seed), _chunk_size(ch)
+        for start in range(0, n_samples, chunk):
+            k = min(chunk, n_samples - start)
+            if k > room:   # a due tail runs before the next chunk is drawn
+                run_tail()
+                room = chunk
+            room -= k
+            coords = _haar_tensor_powers(rng, k, ch.n_in)
+            pending.append((i, reduced_qubit_from_dicke(coords), _output_qubit(ch, coords)))
+    run_tail()
+    return [CloneReport(ch.n_in, ch.m_out, float(eta_sum / n_samples), float(fid_sum / n_samples),
+                        float(eta_max - eta_min))
+            for (ch, _), (eta_sum, fid_sum, eta_min, eta_max) in zip(cells, stats)]
 
 
 def tensor_power_input(psi, n):

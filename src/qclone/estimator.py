@@ -178,12 +178,19 @@ def _draw(m, k, rng, scratch=None):
 def sample_candidates(m, psi, n_shots, rng):
     """Draw n_shots outcomes phi of the covariant measurement on |psi>^⊗M,
     phi = sqrt(u) psi + sqrt(1-u) e^(i chi) psi_perp, psi_perp = (-psi1*, psi0*),
-    with (u, e^(i chi)) from `_draw`; all n_shots candidates are held at once."""
+    with (u, e^(i chi)) from `_draw`, chunk by chunk into one scratch set."""
     m, n_shots = _check_copies(m), _check_shots(n_shots)
     psi = _unit_qubit(psi)
-    u, phase = _draw(m, n_shots, rng)
     perp = np.array([-psi[1].conj(), psi[0].conj()])
-    return np.sqrt(u)[:, None] * psi + (np.sqrt(1 - u) * phase)[:, None] * perp
+    chunk = BLOCK_ENTRIES // 2
+    scratch = _scratch(min(chunk, n_shots))
+    out = np.empty((n_shots, 2), complex)
+    for start in range(0, n_shots, chunk):
+        u, phase = _draw(m, min(chunk, n_shots - start), rng, scratch)
+        block = out[start:start + len(u)]
+        np.multiply(np.sqrt(u)[:, None], psi, out=block)
+        block += (np.sqrt(1 - u) * phase)[:, None] * perp
+    return out
 
 
 def estimate_monte_carlo(m, psi, n_shots, seed):

@@ -137,22 +137,46 @@ class TestConcatBatch:
                 assert abs(b["actual"] - s["actual"]) <= 1e-14, (b["name"], n, m, l)
 
     def test_verify_all_makes_one_core_call_per_channel(self, monkeypatch):
-        # 26 stage-1 groups (n, m), 26 direct groups (n, l) and 36 stage-2
-        # groups (m, l), then the three mixed-input cells
-        calls = []
+        # products: the 26 clone cells (one chunk each), 26 stage-1 groups (n, m),
+        # 26 direct groups (n, l) and 36 stage-2 groups (m, l), then the three
+        # mixed-input cells; tails: one each for the clone, concat and mixed rows
+        products, tails = [], []
+        output_qubit, shrinking = cloner._output_qubit, cloner._shrinking
 
-        def counting(ch, coords):
-            calls.append(((ch.n_in, ch.m_out), len(coords) if np.ndim(coords) == 3 else None))
-            return measure_shrinking_dicke(ch, coords)
+        def product(ch, coords):
+            products.append(((ch.n_in, ch.m_out), len(coords) if np.ndim(coords) == 3 else None))
+            return output_qubit(ch, coords)
 
-        monkeypatch.setattr(cli, "measure_shrinking_dicke", counting)
-        cli.run_verify_all(1, 2, 1e-9)
-        chains = cli.concat_chains(1)
-        assert calls[88:] == [((1, 3), None), ((2, 4), None), ((3, 5), None)]
-        for (start, stop), (a, b) in zip([(0, 26), (26, 52), (52, 88)], [(0, 1), (0, 2), (1, 2)]):
-            stage = calls[start:stop]
+        def tail(q_in, q_out):
+            tails.append(len(q_in))
+            return shrinking(q_in, q_out)
+
+        for module in (cli, cloner):
+            monkeypatch.setattr(module, "_output_qubit", product)
+            monkeypatch.setattr(module, "_shrinking", tail)
+        samples = 3
+        cli.run_verify_all(1, samples, 1e-9)
+        cells, chains = cli.clone_cells(1), cli.concat_chains(1)
+        assert products[:26] == [((n, m), samples) for n, m, _, _ in cells]
+        assert products[114:] == [((1, 3), None), ((2, 4), None), ((3, 5), None)]
+        for (start, stop), (a, b) in zip([(26, 52), (52, 78), (78, 114)], [(0, 1), (0, 2), (1, 2)]):
+            stage = products[start:stop]
             assert [key for key, _ in stage] == list(dict.fromkeys((c[a], c[b]) for c in chains))
             assert sum(size for _, size in stage) == 100
+        assert tails == [26 * samples, 300, 3]
+
+    def test_concat_builds_one_channel_per_key(self, monkeypatch):
+        built = []
+        channel = cli.CloneChannel
+
+        def counting(n, m):
+            built.append((n, m))
+            return channel(n, m)
+
+        monkeypatch.setattr(cli, "CloneChannel", counting)
+        chains = cli.concat_chains(1)
+        cli.run_concat_chains(chains, 1e-9)
+        assert sorted(built) == sorted({k for n, m, l, _ in chains for k in ((n, m), (m, l), (n, l))})
 
 
 class TestLedgerGrid:
@@ -330,6 +354,28 @@ def test_guard_in_a_concat_group_exits_1(capsys, monkeypatch):
     assert err.startswith("error: channel output trace differs") and err.count("\n") == 1
 
 
+def test_guard_in_a_clone_cell_exits_1(capsys, monkeypatch):
+    # (2, 7) trips the trace guard in its clone cell, whose tail it would
+    # share with the other cells: the whole run stops with exit 1
+    amplitudes = cloner._amplitudes
+
+    def perturbed(n, m):
+        left, amp = amplitudes(n, m)
+        if (n, m) == (2, 7):
+            left = left.copy()
+            left[0, 1] += 1e-6
+        return left, amp
+
+    cloner._transfer.cache_clear()
+    monkeypatch.setattr(cloner, "_amplitudes", perturbed)
+    try:
+        code, out, err = run_cli(capsys, "verify-all", "--samples", "2")
+    finally:
+        cloner._transfer.cache_clear()
+    assert code == 1 and out == ""
+    assert err.startswith("error: channel output trace differs") and err.count("\n") == 1
+
+
 CLONE = ["clone", "--n", "1", "--m", "2", "--samples", "2"]
 
 
@@ -394,7 +440,7 @@ def test_argument_contract(capsys, argv, code):
 def test_concat_checks_dicke_limit_before_drawing(monkeypatch, capsys, argv):
     # every channel is checked as it is built, so no input is drawn and no stage runs
     calls = []
-    for name in ("tensor_power_dicke", "measure_shrinking_dicke"):
+    for name in ("tensor_power_dicke", "_output_qubit"):
         monkeypatch.setattr(cli, name, lambda *a, _name=name: calls.append(_name))
     assert main(argv) == 2
     out, err = capsys.readouterr()

@@ -444,6 +444,45 @@ class TestUniversality:
         assert peaks[1] <= peaks[0] * 1.01
 
 
+class TestCertifyCells:
+    CELLS = [(CloneChannel(1, 3), 5), (CloneChannel(6, 60), 6), (CloneChannel(4, 8), 7)]
+
+    @pytest.mark.parametrize("samples", [9000, 700, 50])
+    def test_each_report_is_its_own_certification(self, samples):
+        # mixed N, with sample counts that cross the chunks of (1, 3) (8192)
+        # and (6, 60) (668), and counts whose chunks share one tail
+        reports = cloner.certify_cells(self.CELLS, samples)
+        assert reports == [certify_universality(ch, samples, seed) for ch, seed in self.CELLS]
+
+    def test_tail_stays_within_the_chunk_that_opened_it(self, monkeypatch):
+        # one (6, 60) chunk cannot join the 668 rows its own chunk opened, and a
+        # due tail runs before the next chunk is drawn: each tail holds exactly
+        # the rows drawn since the one before it
+        tails, drawn, shrinking, draw = [], [0], cloner._shrinking, cloner._haar_tensor_powers
+
+        def tail(q_in, q_out):
+            tails.append((len(q_in), drawn[0]))
+            drawn[0] = 0
+            return shrinking(q_in, q_out)
+
+        def counting_draw(rng, count, n):
+            drawn[0] += count
+            return draw(rng, count, n)
+
+        monkeypatch.setattr(cloner, "_shrinking", tail)
+        monkeypatch.setattr(cloner, "_haar_tensor_powers", counting_draw)
+        cloner.certify_cells(self.CELLS, 9000)
+        sizes = [8192, 808 + 11 * 668, 668, 668, 316] + [1310] * 6 + [1140]
+        assert tails == [(size, size) for size in sizes]
+
+    def test_refuses_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(cloner, "_haar_tensor_powers", None)
+        with pytest.raises(ValueError, match="need at least 2 samples"):
+            cloner.certify_cells(self.CELLS, 1)
+        with pytest.raises(ValueError, match="dicke path limited"):
+            cloner.certify_cells(self.CELLS + [(CloneChannel(1, 61), 1)], 2)
+
+
 class TestTransfer:
     def test_exact_certificate(self):
         # The map is the paper's, in integers, on the whole triangle: τ_a = 1,

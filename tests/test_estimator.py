@@ -350,6 +350,28 @@ class TestStream:
         whole = sample_candidates(5, psi, 3 * CHUNK + 848, rng_from_seed(76))
         assert np.concatenate(parts).tobytes() == whole.tobytes()
 
+    @pytest.mark.parametrize("n", [1, CHUNK, CHUNK + 1, 7 * CHUNK - 5])
+    def test_candidates_match_one_draw(self, n):
+        # chunk by chunk, the candidates of one `_draw` call over all shots
+        psi = haar_random_pure(rng_from_seed(79))
+        u, phase = _draw(6, n, rng_from_seed(80))
+        perp = np.array([-psi[1].conj(), psi[0].conj()])
+        whole = np.sqrt(u)[:, None] * psi + (np.sqrt(1 - u) * phase)[:, None] * perp
+        assert np.array_equal(sample_candidates(6, psi, n, rng_from_seed(80)), whole)
+
+    @pytest.mark.parametrize("n", [10 ** 5, 10 ** 6])
+    def test_candidate_memory_is_the_output(self, n):
+        # the (n, 2) output, 32 B per shot, and one chunk's work arrays
+        psi = haar_random_pure(rng_from_seed(81))
+        sample_candidates(3, psi, 10, rng_from_seed(82))
+        tracemalloc.start()
+        try:
+            sample_candidates(3, psi, n, rng_from_seed(82))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * n + 3e6
+
     @staticmethod
     def peak(n_shots):
         psi = haar_random_pure(rng_from_seed(77))
