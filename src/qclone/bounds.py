@@ -22,35 +22,32 @@ from math import inf
 
 from .linalg import _integer_in
 
-
-def _count(value, lo, name):
-    """value as an int, if it is an integer >= lo."""
-    return _integer_in(value, lo, inf, name + " must be an integer >= {lo}, got {value}")
+_AT_LEAST = " must be an integer >= {lo}, got {value}"
 
 
 def eta_opt(n, m):
     """Optimal shrinking factor for the universal n→m cloner."""
-    n = _count(n, 1, "n")
-    m = _count(m, n, "m")
+    n = _integer_in(n, 1, inf, "n" + _AT_LEAST)
+    m = _integer_in(m, n, inf, "m" + _AT_LEAST)
     return Fraction(n * (m + 2), m * (n + 2))
 
 
 def fidelity_opt(n, m):
     """Optimal single-clone fidelity on pure inputs; equals (1+eta_opt)/2."""
-    n = _count(n, 1, "n")
-    m = _count(m, n, "m")
+    n = _integer_in(n, 1, inf, "n" + _AT_LEAST)
+    m = _integer_in(m, n, inf, "m" + _AT_LEAST)
     return Fraction(n * m + n + m, m * (n + 2))
 
 
 def eta_meas_opt(m):
     """Shrinking factor of optimal state estimation on m copies."""
-    m = _count(m, 1, "m")
+    m = _integer_in(m, 1, inf, "m" + _AT_LEAST)
     return Fraction(m, m + 2)
 
 
 def fidelity_meas_opt(m):
     """Optimal estimation fidelity on m copies."""
-    m = _count(m, 1, "m")
+    m = _integer_in(m, 1, inf, "m" + _AT_LEAST)
     return Fraction(m + 1, m + 2)
 
 
@@ -81,6 +78,7 @@ def check_identities(n, m, l):
         evaluated at L = 10^3 c and 10^6 c with c = ceil(m / 10^3), so L >= m
         for every m and L = 10^3, 10^6 for m <= 1000 (positive sign, 1/L decay).
     """
+    l = _integer_in(l, 1, inf, "l" + _AT_LEAST)   # n and m are checked by eta_opt
     if not 1 <= n <= m <= l:
         raise ValueError(f"need 1 <= n <= m <= l, got ({n}, {m}, {l})")
     checks = []

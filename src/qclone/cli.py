@@ -26,17 +26,16 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds as bd
-from .cloner import (CloneChannel, _check_dicke, _output_qubit, _shrinking, _shrinking_pieces,
+from .cloner import (CloneChannel, _output_qubit, _shrinking, _shrinking_pieces,
                      apply_cloner_dicke, certify_cells, certify_universality)
 from .estimator import (
-    MAX_SHOTS,
     estimate_monte_carlo,
     estimation_fidelity_exact,
     measure_and_prepare_dicke,
     povm_completeness_residual,
     verify_statement_b,
 )
-from .linalg import bloch_of, haar_random_pure, hermitize, rng_from_seed
+from .linalg import LIMITS, _integer_in, bloch_of, haar_random_pure, hermitize, rng_from_seed
 from .symspace import (pseudo_mixture_decompose_dicke, random_symmetric_dicke,
                        reduced_qubit_from_dicke, tensor_power_dicke)
 
@@ -171,7 +170,7 @@ def run_concat_chains(chains, tol):
     keys = dict.fromkeys(key for n, m, l, _ in chains for key in ((n, m), (m, l), (n, l)))
     channels = {key: CloneChannel(*key) for key in keys}
     for ch in channels.values():
-        _check_dicke(ch)
+        _integer_in(ch.m_out, 1, "dicke")
     inputs, mids, pieces = {}, {}, []   # chain index -> (coordinates, qubit): input, stage-1 output
     for n in dict.fromkeys(c[0] for c in chains):
         idx = [i for i, c in enumerate(chains) if c[0] == n]
@@ -249,9 +248,9 @@ def concat_chains(seed):
 
 
 def run_verify_all(seed, samples, tol):
-    if samples > MAX_SHOTS // 200:
-        raise ValueError(f"samples must be at most {MAX_SHOTS // 200}: Monte Carlo cells "
-                         f"draw 200 shots per sample, at most {MAX_SHOTS}")
+    samples = _integer_in(samples, 2, math.inf, "need at least 2 samples")
+    _integer_in(samples, 2, LIMITS["shots"][0] // 200, "samples must be at most {hi}: Monte Carlo "
+                f"cells draw 200 shots per sample, at most {LIMITS['shots'][0]}")
     checks = _ledger_grid_checks()
     cells = clone_cells(seed)
     channels = [(CloneChannel(n, m), clone_seed) for n, m, clone_seed, _ in cells]
@@ -399,10 +398,9 @@ def _samples(text):
 
 
 def _shots(text):
-    value = int(text)
-    if not (value == 0 or 2 <= value <= MAX_SHOTS):
-        raise argparse.ArgumentTypeError(
-            f"shots must be 0 (skip) or in 2..{MAX_SHOTS}, got {text}")
+    value, hi = int(text), LIMITS["shots"][0]
+    if not (value == 0 or 2 <= value <= hi):
+        raise argparse.ArgumentTypeError(f"shots must be 0 (skip) or in 2..{hi}, got {text}")
     return value
 
 
@@ -449,7 +447,7 @@ def build_parser():
     p = sub.add_parser("estimate", help="estimation on m copies, exact + MC")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--shots", type=_shots, default=10000,
-                   help=f"MC shots: 0 (skip) or 2..{MAX_SHOTS}")
+                   help=f"MC shots: 0 (skip) or 2..{LIMITS['shots'][0]}")
     common(p, "json", seed, tol)
 
     p = sub.add_parser("concat", help="chain multiplicativity for (n, m, l)")
@@ -469,8 +467,6 @@ def main(argv=None):
     t0 = time.monotonic()
     try:
         if args.command == "bounds":
-            if args.l is not None and not args.n <= args.m <= args.l:
-                raise ValueError("need n <= m <= l")
             results, checks = run_bounds(args.n, args.m, args.l)
         elif args.command == "clone":
             results, checks = run_clone(args.n, args.m, args.samples, args.seed, args.tol)

@@ -9,7 +9,7 @@ single-qubit reduction by N(M+2)/(M(N+2)) without rotating it; saturation
 of that optimum is verified by the test suite, not assumed here.
 
 Certification works on Dicke coordinates, a complete description of a
-symmetric input, for every 1 ≤ N ≤ M ≤ 60, and forms one output qubit
+symmetric input, for every N ≤ M up to the `dicke` limit, and forms one output qubit
 only: the engine moves input entry (a, b) to (a+w, b+w), so that qubit is
 linear in the input diagonal and superdiagonal through 2N+1 numbers per
 (N, M), formed from the channel's factors (`_amplitudes`) and cached
@@ -27,8 +27,9 @@ Certification never forms a 2^N or 2^M operator nor an (M+1)×(M+1) output.
 
 `apply_cloner_dicke` (M-N+1 shifted blocks from the same factors, nothing
 cached) gives whole outputs; `apply_cloner` embeds them in the full space
-(M ≤ 12) as V·apply_cloner_dicke(V†ρV)·V†, V the Dicke isometry. The dense
-2^M channel remains only as an independent oracle in the tests.
+(M within `LIMITS["full_space"]`) as V·apply_cloner_dicke(V†ρV)·V†, V the
+Dicke isometry. The dense 2^M channel remains only as an independent oracle
+in the tests.
 """
 
 from __future__ import annotations
@@ -51,14 +52,13 @@ from .linalg import (
 )
 from .symspace import (
     BLOCK_ENTRIES,
+    _dicke_coords,
     embed_dicke,
     reduced_qubit_from_dicke,
     symmetric_coords,
     tensor_power_dicke,
 )
 
-FULL_SPACE_MAX = 12
-DICKE_MAX = 60
 MIN_BLOCH_LENGTH = 1e-6
 
 
@@ -87,18 +87,11 @@ class CloneReport:
 
 
 def apply_cloner(ch, rho_n):
-    """Full-space channel application for m_out <= FULL_SPACE_MAX: the Dicke
-    engine's output embedded in the 2^M space, V·apply_cloner_dicke(V†ρV)·V†."""
-    if ch.m_out > FULL_SPACE_MAX:
-        raise ValueError(f"full-space path limited to m_out <= {FULL_SPACE_MAX}; "
-                         "use apply_cloner_dicke")
+    """Full-space channel application for m_out within LIMITS["full_space"]: the
+    Dicke engine's output embedded in the 2^M space, V·apply_cloner_dicke(V†ρV)·V†."""
+    _integer_in(ch.m_out, 1, "full_space")
     coords = symmetric_coords(rho_n, ch.n_in)
     return embed_dicke(hermitize(apply_cloner_dicke(ch, coords)))
-
-
-def _check_dicke(ch):
-    if ch.m_out > DICKE_MAX:
-        raise ValueError(f"dicke path limited to m_out <= {DICKE_MAX}")
 
 
 def _amplitudes(n, m):
@@ -143,11 +136,10 @@ def apply_cloner_dicke(ch, coords_n):
     block. Raises if any output trace differs from its input trace by more
     than 1e-10.
     """
-    coords_n = np.asarray(coords_n, dtype=complex)
-    n, m = ch.n_in, ch.m_out
-    if coords_n.ndim not in (2, 3) or coords_n.shape[-2:] != (n + 1, n + 1):
-        raise ValueError(f"coords shape {coords_n.shape} does not match n_in={n}")
-    _check_dicke(ch)
+    coords_n, n = _dicke_coords(coords_n, "dicke", batch=True)
+    m = _integer_in(ch.m_out, 1, "dicke")
+    if n != ch.n_in:
+        raise ValueError(f"coords shape {coords_n.shape} does not match n_in={ch.n_in}")
     left, amp = _amplitudes(n, m)
     out = np.zeros(coords_n.shape[:-2] + (m + 1, m + 1), dtype=complex)
     for w in range(m - n + 1):
@@ -180,7 +172,7 @@ def measure_shrinking_dicke(ch, coords):
 def _output_qubit(ch, coords):
     """One clone's qubit (..., 2, 2) of each input (..., N+1, N+1), through
     `_transfer`; raises if an output trace is off its input's by over 1e-10."""
-    _check_dicke(ch)
+    _integer_in(ch.m_out, 1, "dicke")
     t_diag, t_off = _transfer(ch.n_in, ch.m_out)
     diag = np.diagonal(coords, axis1=-2, axis2=-1)
     p00, p11, trace = np.moveaxis(diag @ t_diag, -1, 0)
@@ -258,7 +250,7 @@ def certify_cells(cells, n_samples):
     and only the tail joins chunks of many cells (see the module docstring)."""
     n_samples = _integer_in(n_samples, 2, inf, "need at least 2 samples")
     for ch, _ in cells:
-        _check_dicke(ch)
+        _integer_in(ch.m_out, 1, "dicke")
     stats = [(0.0, 0.0, inf, -inf)] * len(cells)   # eta and fid sums, eta min and max
     pending, room = [], 0   # the open tail's pieces and the rows it still takes
 

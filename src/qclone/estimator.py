@@ -17,12 +17,12 @@ by inverting its distribution function, with no rejection; the azimuth
 phase is a table entry times a short series. The estimate reads the drawn
 overlap u and azimuth phase and never forms the outcome states;
 `sample_candidates` forms them from the same draws, as the explicit outcome
-sampler and the tests' oracle. Both paths accept integer 1 <= M <=
-MAX_COPIES; the Monte Carlo path draws 1..MAX_SHOTS shots. It streams them
-in chunks of BLOCK_ENTRIES // 2 shots from one generator into one set of
-work arrays and keeps running sums, so its memory does not grow with the
-shot count: MAX_SHOTS is a time limit, 0.35 to 0.55 s with a 1.2 MB
-tracemalloc peak (2-core Xeon guest, one BLAS thread).
+sampler and the tests' oracle. Both paths take the copy count M within
+`linalg.LIMITS["copies"]`; the Monte Carlo path draws shots within
+`LIMITS["shots"]`. It streams them in chunks of BLOCK_ENTRIES // 2 shots
+from one generator into one set of work arrays and keeps running sums, so
+its memory does not grow with the shot count and the shot limit is a time
+limit (see the table).
 
 Estimating on M copies and preparing the candidate realizes cloning to
 arbitrarily many copies; its single-qubit output is exactly the
@@ -39,17 +39,16 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import (
+    LIMITS,
     PHYS_TOL,
     _integer_in,
     hermitize,
     pure_fidelity,
     rng_from_seed,
 )
-from .symspace import BLOCK_ENTRIES, symmetric_coords, tensor_power_dicke
+from .symspace import BLOCK_ENTRIES, _dicke_coords, symmetric_coords, tensor_power_dicke
 from .cloner import CloneChannel, apply_cloner_dicke
 
-MAX_COPIES = 20
-MAX_SHOTS = 10 ** 7   # a time limit (streamed): about 0.5 s, 1.2 MB tracemalloc peak
 _PHASE_STEPS = 256    # e^(2 pi i x) = _PHASES[j] e^(i theta), j = floor(256 x)
 _PHASES = np.exp(2j * np.pi * np.arange(_PHASE_STEPS) / _PHASE_STEPS)   # 4 KiB
 _PHASES.flags.writeable = False
@@ -73,6 +72,7 @@ def sphere_quadrature(m):
     to 1 and integrate any Bloch-sphere polynomial of the relevant degree
     exactly against the Haar measure.
     """
+    m = _integer_in(m, 1, "dicke", LIMITS["copies"][1])   # the copy-count wording
     n_polar = (2 * m + 4 + 1) // 2 + 2
     n_azim = 2 * m + 5
     nodes, gw = np.polynomial.legendre.leggauss(n_polar)
@@ -102,6 +102,7 @@ def quadrature_powers(m):
 def povm_completeness_residual(m):
     """Max-entry deviation of ∫ (M+1)|phi^⊗M><phi^⊗M| dμ from the identity
     on the symmetric subspace (in Dicke coordinates)."""
+    m = _integer_in(m, 1, "dicke", LIMITS["copies"][1])   # the copy-count wording
     _, weights = sphere_quadrature(m)
     vecs = quadrature_powers(m)
     acc = (m + 1) * ((vecs.T * weights) @ vecs.conj())
@@ -111,7 +112,7 @@ def povm_completeness_residual(m):
 def estimation_fidelity_exact(m, psi):
     """Exact-quadrature estimation fidelity for M copies of the pure state
     psi: `measure_and_prepare_dicke` on |psi><psi|^⊗M, F = <psi|rho_bar|psi>."""
-    m = _check_copies(m)
+    m = _integer_in(m, 1, "copies")
     psi = _unit_qubit(psi)
     v = tensor_power_dicke(psi, m)
     rho_bar = measure_and_prepare_dicke(np.outer(v, v.conj()))
@@ -124,16 +125,6 @@ def _unit_qubit(psi):
     if psi.shape != (2,) or abs(np.linalg.norm(psi) - 1) > PHYS_TOL:
         raise ValueError(f"psi must be a unit 2-vector, got {psi}")
     return psi
-
-
-def _check_copies(m):
-    """The copy count m as an int, if it is an integer in 1..MAX_COPIES."""
-    return _integer_in(m, 1, MAX_COPIES, "m must be an integer in {lo}..{hi}, got {value}")
-
-
-def _check_shots(n_shots):
-    """The shot count as an int, if it is an integer in 1..MAX_SHOTS."""
-    return _integer_in(n_shots, 1, MAX_SHOTS, "n_shots must be in {lo}..{hi}, got {value}")
 
 
 def _scratch(k):
@@ -179,7 +170,7 @@ def sample_candidates(m, psi, n_shots, rng):
     """Draw n_shots outcomes phi of the covariant measurement on |psi>^⊗M,
     phi = sqrt(u) psi + sqrt(1-u) e^(i chi) psi_perp, psi_perp = (-psi1*, psi0*),
     with (u, e^(i chi)) from `_draw`, chunk by chunk into one scratch set."""
-    m, n_shots = _check_copies(m), _check_shots(n_shots)
+    m, n_shots = _integer_in(m, 1, "copies"), _integer_in(n_shots, 1, "shots")
     psi = _unit_qubit(psi)
     perp = np.array([-psi[1].conj(), psi[0].conj()])
     chunk = BLOCK_ENTRIES // 2
@@ -205,7 +196,7 @@ def estimate_monte_carlo(m, psi, n_shots, seed):
     (psi, psi_perp) the mean of phi phi^† is [[F, W*/n], [W/n, 1-F]], with F
     the fidelity and W the sum of sqrt(u(1-u)) e^(i chi).
     """
-    m, n_shots = _check_copies(m), _check_shots(n_shots)
+    m, n_shots = _integer_in(m, 1, "copies"), _integer_in(n_shots, 1, "shots")
     psi = _unit_qubit(psi)
     rng = rng_from_seed(seed)
     chunk = BLOCK_ENTRIES // 2
@@ -219,7 +210,7 @@ def estimate_monte_carlo(m, psi, n_shots, seed):
         fid = float(fid + delta * (k / total))
         sq = float(sq + np.sum(np.square(a, out=a)) + delta * delta * (start * k / total))
         np.multiply(u, np.subtract(1, u, out=a), out=a)
-        w += complex(np.sqrt(a, out=a) @ phase)
+        w += complex(*(np.sqrt(a, out=a) @ phase.view(float).reshape(-1, 2)))   # a stays real
     se = math.sqrt(sq / (n_shots - 1)) / math.sqrt(n_shots) if n_shots > 1 else 0.0
     basis = np.stack([psi, [-psi[1].conj(), psi[0].conj()]], axis=1)
     rho_bar = basis @ np.array([[fid, w.conjugate() / n_shots],
@@ -240,10 +231,7 @@ def measure_and_prepare_dicke(coords):
     """`measure_and_prepare_channel` on the Dicke coordinates (M+1)x(M+1)
     of an M-copy input: node probabilities p = (M+1) q Re<v|rho|v> over the
     nodes' tensor powers v, then rho_bar = Σ p |phi><phi|, two products."""
-    coords = np.asarray(coords, dtype=complex)
-    m = coords.shape[0] - 1
-    if coords.shape != (m + 1, m + 1) or m < 1:
-        raise ValueError(f"coords must be square (m+1)x(m+1), got {coords.shape}")
+    coords, m = _dicke_coords(coords, "dicke")
     states, weights = sphere_quadrature(m)
     vecs = quadrature_powers(m)
     probs = (m + 1) * weights * np.sum(vecs.conj() * (vecs @ coords.T), axis=1).real
@@ -254,7 +242,7 @@ def verify_statement_b(m, l, psi=None):
     """Clone M→L, then measure-and-prepare on the L clones: the composed
     fidelity <psi|rho_bar|psi> as a float, psi = |0> by default. Statement B
     says it equals (1 + eta_opt(M, L) eta_meas_opt(L)) / 2, which telescopes
-    to fidelity_meas_opt(M) for every L <= DICKE_MAX (`qclone.bounds`)."""
+    to fidelity_meas_opt(M) for every L within LIMITS["dicke"] (`qclone.bounds`)."""
     ch = CloneChannel(m, l)
     psi = _unit_qubit([1, 0] if psi is None else psi)
     v = tensor_power_dicke(psi, m)

@@ -28,20 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, sqrt
+from math import comb, inf, sqrt
 
 import numpy as np
 
-from .linalg import PSD_TOL, PHYS_TOL, bloch_of, n_qubits_of
+from .linalg import PSD_TOL, PHYS_TOL, _integer_in, bloch_of, n_qubits_of
 
-MAX_QUBITS = 14
 BLOCK_ENTRIES = 2 ** 15   # complex entries (512 KiB) per block of the support pass
-
-
-def _check_n(n):
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n must be in 1..{MAX_QUBITS}, got {n}")
-    return n
 
 
 def _frozen(arr):
@@ -52,7 +45,7 @@ def _frozen(arr):
 @lru_cache(maxsize=None)
 def dicke_basis(n):
     """Isometry V of shape (2^n, n+1); column k is the Dicke state |D_k>."""
-    _check_n(n)
+    n = _integer_in(n, 1, "full_space")
     dim = 2 ** n
     ones = np.array([bin(i).count("1") for i in range(dim)])
     v = np.zeros((dim, n + 1), dtype=complex)
@@ -68,6 +61,16 @@ def symmetrizer(n):
     return _frozen(v @ v.conj().T)
 
 
+def _dicke_coords(coords, limit, batch=False):
+    """(coords, n) of Dicke coordinates: complex, (n+1)x(n+1) in the last two
+    axes with n in 1..LIMITS[limit], after one leading batch axis if `batch`."""
+    coords = np.asarray(coords, dtype=complex)
+    n = coords.shape[-1] - 1 if coords.ndim >= 2 else 0
+    if coords.shape[-2:] != (n + 1, n + 1) or n < 1 or coords.ndim > 2 + batch:
+        raise ValueError(f"Dicke coordinates must be (n+1)x(n+1), n >= 1, got {coords.shape}")
+    return coords, _integer_in(n, 1, limit)
+
+
 def project_dicke(op, n=None):
     """V† op V: full-space operator to (n+1)-dim Dicke coordinates."""
     op = np.asarray(op, dtype=complex)
@@ -81,10 +84,7 @@ def project_dicke(op, n=None):
 
 def embed_dicke(coords):
     """V coords V†: Dicke-coordinate operator into the full 2^n space."""
-    coords = np.asarray(coords, dtype=complex)
-    n = coords.shape[0] - 1 if coords.ndim == 2 else 0
-    if coords.shape != (n + 1, n + 1) or n < 1:
-        raise ValueError(f"coords must be square (n+1)x(n+1), got {coords.shape}")
+    coords, n = _dicke_coords(coords, "full_space")
     v = dicke_basis(n)
     return v @ coords @ v.conj().T
 
@@ -118,7 +118,7 @@ def _support_pass(rho):
     most 2 max|R|, and max|R| < tol/2 puts both below tol.
     """
     rho = np.ascontiguousarray(rho, dtype=complex)
-    n = _check_n(n_qubits_of(rho))
+    n = _integer_in(n_qubits_of(rho), 1, "full_space")
     d = rho.shape[0]
     ones, ind, ind2, inv_binom = _popcount_classes(n)
     row_sums = (ind.T @ rho.view(float)).view(complex)    # (n+1, d)
@@ -144,7 +144,7 @@ def symmetric_coords(rho, n=None):
     unless max|rho - S rho S| < PSD_TOL/2 (`is_symmetric_support(rho)`,
     both one-sided residuals below PSD_TOL) or when, given n, rho is not
     2^n x 2^n."""
-    if n is not None and np.shape(rho) != (2 ** n, 2 ** n):
+    if n is not None and np.shape(rho) != (2 ** _integer_in(n, 1, "full_space"),) * 2:
         raise ValueError(f"input shape {np.shape(rho)} does not match n={n}")
     resid, coords = _support_pass(rho)
     if not resid < PSD_TOL / 2:
@@ -156,6 +156,7 @@ def tensor_power_dicke(psi, n):
     """Dicke coefficients c_k = sqrt(C(n,k)) a^(n-k) b^k of |psi>^⊗n; a batch
     psi (..., 2) gives (..., n+1), each row equal to its batch of one."""
     psi = np.asarray(psi, dtype=complex)
+    n = _integer_in(n, 0, inf, "n must be an integer >= {lo}, got {value}")
     ks = np.arange(n + 1)
     if comb(n, n // 2) > float(np.finfo(float).max):
         raise ValueError(f"tensor power n={n} too large: C(n, n/2) overflows a float")
@@ -165,11 +166,8 @@ def tensor_power_dicke(psi, n):
 
 def reduced_qubit_from_dicke(coords):
     """Single-qubit reduction of a symmetric m-qubit state in Dicke coords;
-    leading axes are a batch, (..., m+1, m+1) -> (..., 2, 2)."""
-    coords = np.asarray(coords, dtype=complex)
-    m = coords.shape[-1] - 1
-    if m < 1:
-        raise ValueError("need at least one qubit")
+    a leading axis is a batch, (s, m+1, m+1) -> (s, 2, 2)."""
+    coords, m = _dicke_coords(coords, "dicke", batch=True)
     ks = np.arange(m + 1)
     diag = np.diagonal(coords, axis1=-2, axis2=-1)
     p00 = np.sum(diag * (m - ks), axis=-1) / m
@@ -219,7 +217,7 @@ def pseudo_mixture_decompose_dicke(target, tol=PHYS_TOL):
     # imported here because estimator imports this module
     from .estimator import quadrature_powers, sphere_quadrature
 
-    n = target.shape[0] - 1
+    target, n = _dicke_coords(target, "pseudo_mixture")
     states, q = sphere_quadrature(n)
     vecs = quadrature_powers(n)
     projs = np.einsum("ij,ik->ijk", vecs, vecs.conj()).reshape(len(states), -1)
@@ -241,7 +239,7 @@ def random_symmetric_dicke(n, rng, min_bloch=0.0):
     """Dicke coordinates of a random full-rank density operator supported on
     the symmetric subspace (Ginibre construction); optionally resamples
     until the single-qubit reduction's Bloch length reaches `min_bloch`."""
-    _check_n(n)
+    n = _integer_in(n, 1, "pseudo_mixture")
     for _ in range(1000):
         g = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))
         coords = g @ g.conj().T

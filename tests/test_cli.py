@@ -9,8 +9,7 @@ from qclone import bounds, cli, cloner, estimator, linalg, symspace
 from qclone.cli import build_parser, main, run_concat
 from qclone.cloner import (CloneChannel, apply_cloner, apply_cloner_dicke,
                            measure_shrinking_dicke, tensor_power_input)
-from qclone.estimator import MAX_SHOTS
-from qclone.linalg import haar_random_pure, min_eigenvalue, partial_trace, rng_from_seed
+from qclone.linalg import LIMITS, haar_random_pure, min_eigenvalue, partial_trace, rng_from_seed
 from qclone.symspace import _support_pass, tensor_power_dicke
 
 
@@ -449,8 +448,8 @@ def test_concat_checks_dicke_limit_before_drawing(monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["estimate", "--m", "2", "--shots", str(MAX_SHOTS + 1)],
-    ["verify-all", "--samples", str(MAX_SHOTS // 200 + 1)],
+    ["estimate", "--m", "2", "--shots", str(LIMITS["shots"][0] + 1)],
+    ["verify-all", "--samples", str(LIMITS["shots"][0] // 200 + 1)],
 ])
 def test_shot_limit_refused_before_drawing(capsys, argv):
     # refused before any shot is drawn or any cell runs: only parsing allocates

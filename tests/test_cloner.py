@@ -8,7 +8,6 @@ from qclone import cloner, symspace
 from qclone.bounds import eta_opt
 from qclone.cli import main
 from qclone.cloner import (
-    DICKE_MAX,
     CloneChannel,
     _chunk_size,
     _transfer,
@@ -21,6 +20,7 @@ from qclone.cloner import (
     tensor_power_input,
 )
 from qclone.linalg import (
+    LIMITS,
     DegenerateInputError,
     bloch_of,
     hermitize,
@@ -220,7 +220,7 @@ class TestDickePath:
     def test_amplitudes_match_per_entry_binomials(self):
         # one binomial row per call divides the same ints as two comb calls
         # per entry, so both factors are bit-identical on every cell
-        for m in range(1, DICKE_MAX + 1):
+        for m in range(1, LIMITS["dicke"][0] + 1):
             for n in range(1, m + 1):
                 ws = range(m - n + 1)
                 amp = np.array([[sqrt(comb(n, a) / comb(m, a + w)) for a in range(n + 1)]
@@ -490,8 +490,8 @@ class TestTransfer:
         # η = N(M+2)/(M(N+2)). The square roots cancel in the last ratio. With
         # C(N,a)/C(M,j) = C(N,a) j!(M−j)!/M!, every sum over w shares the
         # denominator (M+1)!, and each identity is one cross-multiplication.
-        fact = [factorial(i) for i in range(DICKE_MAX + 2)]
-        for m in range(1, DICKE_MAX + 1):
+        fact = [factorial(i) for i in range(LIMITS["dicke"][0] + 2)]
+        for m in range(1, LIMITS["dicke"][0] + 1):
             split = [fact[j] * fact[m - j] for j in range(m + 1)]   # j!(M−j)!
             for n in range(1, m + 1):
                 cw = [comb(m - n, w) for w in range(m - n + 1)]

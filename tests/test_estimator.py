@@ -8,8 +8,6 @@ import pytest
 from qclone.bounds import eta_meas_opt, eta_opt, fidelity_meas_opt
 from qclone.cloner import CloneChannel, apply_cloner, tensor_power_input
 from qclone.estimator import (
-    MAX_COPIES,
-    MAX_SHOTS,
     _draw,
     _scratch,
     estimate_monte_carlo,
@@ -22,8 +20,8 @@ from qclone.estimator import (
     sphere_quadrature,
     verify_statement_b,
 )
-from qclone.linalg import (bloch_of, haar_random_pure, hermitize, partial_trace, pure_fidelity,
-                           rng_from_seed)
+from qclone.linalg import (LIMITS, bloch_of, haar_random_pure, hermitize, partial_trace,
+                           pure_fidelity, rng_from_seed)
 from qclone.symspace import BLOCK_ENTRIES, random_symmetric_density, symmetrizer, tensor_power_dicke
 
 KET0 = np.array([1, 0], dtype=complex)
@@ -89,7 +87,7 @@ class TestExactEstimation:
         s_psi = bloch_of(np.outer(psi, psi.conj()))
         assert np.max(np.abs(bloch_of(rep.rho_bar) - (m / (m + 2)) * s_psi)) < 1e-10
 
-    @pytest.mark.parametrize("m", range(1, MAX_COPIES + 1))
+    @pytest.mark.parametrize("m", range(1, LIMITS["copies"][0] + 1))
     def test_matches_overlap_sum_oracle(self, m):
         # the overlap sum F = Σ_i (M+1) q_i |<phi_i|psi>|^(2(M+1)), summed with
         # fsum, and the probability-weighted node projectors for rho_bar
@@ -236,7 +234,7 @@ class TestExactSampler:
         with pytest.raises(ValueError, match="unit 2-vector"):
             verify_statement_b(1, 3, psi)
 
-    @pytest.mark.parametrize("shots", [0, MAX_SHOTS + 1, 2.5, 3.0, math.nan, -1, True])
+    @pytest.mark.parametrize("shots", [0, LIMITS["shots"][0] + 1, 2.5, 3.0, math.nan, -1, True])
     def test_rejects_shot_count_outside_range(self, shots):
         with pytest.raises(ValueError, match="n_shots"):
             estimate_monte_carlo(2, KET0, shots, seed=1)
@@ -304,7 +302,7 @@ class TestStream:
     @staticmethod
     def oracle(m, psi, n_shots, seed):
         u, phase = _draw(m, n_shots, rng_from_seed(seed))
-        fid, w = u.mean(), np.sqrt(u * (1 - u)) @ phase
+        fid, w = u.mean(), complex(*(np.sqrt(u * (1 - u)) @ phase.view(float).reshape(-1, 2)))
         basis = np.stack([psi, [-psi[1].conj(), psi[0].conj()]], axis=1)
         rho_bar = basis @ np.array([[fid, w.conjugate() / n_shots],
                                     [w / n_shots, 1 - fid]]) @ basis.conj().T
@@ -385,8 +383,8 @@ class TestStream:
 
     def test_memory_does_not_grow_with_shots(self):
         # all 10^6 shots at once would peak near 104 MB; one set of work
-        # arrays for a chunk of 16,384 shots is 0.92 MB
-        assert self.peak(10 ** 6) < 1.4e6
+        # arrays for a chunk of 16,384 shots is 0.92 MB, and W takes no copy of it
+        assert self.peak(10 ** 6) < 1.0e6
 
     def test_memory_is_one_chunk_set(self):
         assert self.peak(10 ** 6) <= self.peak(2 * CHUNK) + 65536
