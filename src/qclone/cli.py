@@ -1,4 +1,5 @@
-"""Command-line driver: verification runs, sweeps, machine-readable reports.
+"""Command-line driver: it draws the verification grid, turns the measurements of
+`cloner`, `estimator` and `bounds` into report rows, and emits them.
 
 Subcommands:
     bounds      exact ledger values and identity checks for (n, m, l)
@@ -26,8 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds as bd
-from .cloner import (CloneChannel, _output_qubit, _shrinking, _shrinking_pieces,
-                     apply_cloner_dicke, certify_cells, certify_universality)
+from .cloner import (CloneChannel, apply_cloner_dicke, certify_cells, certify_universality,
+                     measure_chains, measure_inputs)
 from .estimator import (
     estimate_monte_carlo,
     estimation_fidelity_exact,
@@ -36,8 +37,7 @@ from .estimator import (
     verify_statement_b,
 )
 from .linalg import LIMITS, _integer_in, bloch_of, haar_random_pure, hermitize, rng_from_seed
-from .symspace import (pseudo_mixture_decompose_dicke, random_symmetric_dicke,
-                       reduced_qubit_from_dicke, tensor_power_dicke)
+from .symspace import pseudo_mixture_decompose_dicke, random_symmetric_dicke, tensor_power_dicke
 
 DEFAULT_TOL = 1e-9
 
@@ -49,35 +49,25 @@ def _fmt(x):
     return "" if x is None else str(x)
 
 
+def _ratio(x):
+    """p/q of a Fraction, "1/1" included (str gives "1")."""
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _row(name, expected, actual, err, tol, n, m, l):
+    """One report row; it passes iff err < tol (a NaN error fails)."""
+    return {"name": name, "n": n, "m": m, "l": l, "expected": expected, "actual": actual,
+            "abs_error": err, "tolerance": tol, "pass": bool(err < tol)}
+
+
 def _check(name, expected, actual, tol, n=None, m=None, l=None):
-    if isinstance(expected, Fraction):
-        expected_repr = f"{expected.numerator}/{expected.denominator}"
-        expected_val = float(expected)
-    else:
-        expected_repr = _fmt(float(expected))
-        expected_val = float(expected)
-    err = abs(float(actual) - expected_val)
-    return {
-        "name": name,
-        "n": n, "m": m, "l": l,
-        "expected": expected_repr,
-        "actual": float(actual),
-        "abs_error": err,
-        "tolerance": tol,
-        "pass": bool(err < tol),
-    }
+    value = float(expected)
+    text = _ratio(expected) if isinstance(expected, Fraction) else _fmt(value)
+    return _row(name, text, float(actual), abs(float(actual) - value), tol, n, m, l)
 
 
 def _flag(name, holds, n=None, m=None, l=None):
-    return {
-        "name": name,
-        "n": n, "m": m, "l": l,
-        "expected": "true",
-        "actual": 1.0 if holds else 0.0,
-        "abs_error": 0.0 if holds else 1.0,
-        "tolerance": 0.5,
-        "pass": bool(holds),
-    }
+    return _row(name, "true", 1.0 if holds else 0.0, 0.0 if holds else 1.0, 0.5, n, m, l)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -94,12 +84,12 @@ def run_bounds(n, m, l):
     for name, holds, _slack in rep.inequality_checks:
         checks.append(_flag(name, holds, n=n, m=m, l=l))
     results = {
-        "eta_opt": f"{rep.eta_opt.numerator}/{rep.eta_opt.denominator}",
+        "eta_opt": _ratio(rep.eta_opt),
         "eta_opt_float": float(rep.eta_opt),
-        "fidelity_opt": f"{rep.fidelity_opt.numerator}/{rep.fidelity_opt.denominator}",
+        "fidelity_opt": _ratio(rep.fidelity_opt),
         "fidelity_opt_float": float(rep.fidelity_opt),
-        "eta_meas_opt": f"{rep.eta_meas_opt.numerator}/{rep.eta_meas_opt.denominator}",
-        "fidelity_meas_opt": f"{rep.fidelity_meas_opt.numerator}/{rep.fidelity_meas_opt.denominator}",
+        "eta_meas_opt": _ratio(rep.eta_meas_opt),
+        "fidelity_meas_opt": _ratio(rep.fidelity_meas_opt),
     }
     return results, checks
 
@@ -122,7 +112,7 @@ def _clone_report(rep, samples, seed, tol):
     results = {
         "n": n, "m": m, "samples": samples, "seed": seed,
         "eta_measured": rep.eta_measured,
-        "eta_predicted": f"{exact.numerator}/{exact.denominator}",
+        "eta_predicted": _ratio(exact),
         "fidelity_measured": rep.fidelity_measured,
         "universality_spread": rep.universality_spread,
         "output_symmetric_residual": 0.0,
@@ -132,24 +122,22 @@ def _clone_report(rep, samples, seed, tol):
 
 def run_estimate(m, shots, seed, tol):
     psi = haar_random_pure(rng_from_seed(seed))
-    exact = estimation_fidelity_exact(m, psi)
+    exact, predicted = estimation_fidelity_exact(m, psi), bd.fidelity_meas_opt(m)
     checks = [
-        _check("estimate-fidelity-exact", bd.fidelity_meas_opt(m),
-               exact.fidelity_measured, tol, m=m),
+        _check("estimate-fidelity-exact", predicted, exact.fidelity_measured, tol, m=m),
         _check("povm-completeness", 0.0, povm_completeness_residual(m), 1e-10, m=m),
     ]
     results = {
         "m": m, "seed": seed,
         "fidelity_exact": exact.fidelity_measured,
-        "fidelity_predicted": f"{bd.fidelity_meas_opt(m).numerator}/{bd.fidelity_meas_opt(m).denominator}",
+        "fidelity_predicted": _ratio(predicted),
         "eta_exact": exact.eta_measured,
         "quadrature_order": exact.quadrature_order,
     }
     if shots:
         mc = estimate_monte_carlo(m, psi, shots, seed)
         band = max(4 * mc.statistical_error, 1e-12)
-        checks.append(_check("estimate-fidelity-mc", bd.fidelity_meas_opt(m),
-                             mc.fidelity_measured, band, m=m))
+        checks.append(_check("estimate-fidelity-mc", predicted, mc.fidelity_measured, band, m=m))
         results.update({
             "fidelity_mc": mc.fidelity_measured,
             "mc_shots": shots,
@@ -164,36 +152,10 @@ def run_concat(n, m, l, seed, tol):
 
 
 def run_concat_chains(chains, tol):
-    """(results, checks) of each chain (n, m, l, seed), in chain order: one input
-    batch per n, one output-qubit product per channel and one tail for all three
-    stages. Every channel is built and checked before any input is drawn."""
-    keys = dict.fromkeys(key for n, m, l, _ in chains for key in ((n, m), (m, l), (n, l)))
-    channels = {key: CloneChannel(*key) for key in keys}
-    for ch in channels.values():
-        _integer_in(ch.m_out, 1, "dicke")
-    inputs, mids, pieces = {}, {}, []   # chain index -> (coordinates, qubit): input, stage-1 output
-    for n in dict.fromkeys(c[0] for c in chains):
-        idx = [i for i, c in enumerate(chains) if c[0] == n]
-        psi = np.array([haar_random_pure(rng_from_seed(chains[i][3])) for i in idx])
-        v = tensor_power_dicke(psi, n)
-        coords = v[:, :, None] * v[:, None, :].conj()
-        inputs.update(zip(idx, zip(coords, reduced_qubit_from_dicke(coords))))
-    for stage, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):   # stage 1, direct, stage 2
-        groups, source = {}, mids if a else inputs
-        for i, c in enumerate(chains):
-            groups.setdefault((c[a], c[b]), []).append(i)
-        for key, idx in groups.items():
-            batch = np.stack([source[i][0] for i in idx])
-            pieces.append(((stage, idx), np.stack([source[i][1] for i in idx]),
-                           _output_qubit(channels[key], batch)))
-            if b == 1:   # stage 2 runs on the stage-1 outputs
-                out = apply_cloner_dicke(channels[key], batch)
-                mids.update(zip(idx, zip(out, reduced_qubit_from_dicke(out))))
-    etas = np.empty((3, len(chains)))
-    for (stage, idx), eta, _ in _shrinking_pieces(pieces):
-        etas[stage, idx] = eta
+    """(results, checks) of each chain (n, m, l, seed), in chain order, from the
+    shrinking factors of `cloner.measure_chains`."""
     reports = []
-    for (n, m, l, seed), e1, direct, e2 in zip(chains, *etas.tolist()):
+    for (n, m, l, seed), (e1, direct, e2) in zip(chains, measure_chains(chains)):
         chain, exact = e1 * e2, bd.eta_opt(n, l)
         checks = [
             _check("concat-chain-eta", exact, chain, tol, n=n, m=m, l=l),
@@ -204,7 +166,7 @@ def run_concat_chains(chains, tol):
             "n": n, "m": m, "l": l, "seed": seed,
             "eta_stage1": e1, "eta_stage2": e2,
             "eta_chain": chain, "eta_direct": direct,
-            "eta_exact": f"{exact.numerator}/{exact.denominator}",
+            "eta_exact": _ratio(exact),
         }
         reports.append((results, checks))
     return reports
@@ -278,12 +240,11 @@ def run_verify_all(seed, samples, tol):
 
     # Mixed symmetric inputs: cloner and measurement both scale linearly; one tail.
     rng = rng_from_seed(seed + 777)
-    mixed = [(n, random_symmetric_dicke(n, rng, min_bloch=0.1)) for n in (1, 2, 3)]
-    q_in = np.array([reduced_qubit_from_dicke(coords) for _, coords in mixed])
-    etas, _ = _shrinking(q_in, np.array([_output_qubit(CloneChannel(n, n + 2), coords)
-                                         for n, coords in mixed]))
-    for (n, coords), q, eta in zip(mixed, q_in, etas):
-        m = n + 2
+    mixed = [(CloneChannel(n, n + 2), random_symmetric_dicke(n, rng, min_bloch=0.1))
+             for n in (1, 2, 3)]
+    q_in, etas, _ = measure_inputs(mixed)
+    for (ch, coords), q, eta in zip(mixed, q_in, etas):
+        n, m = ch.n_in, ch.m_out
         checks.append(_check("mixed-input-clone-eta", bd.eta_opt(n, m), eta, tol, n=n, m=m))
         rho_bar = measure_and_prepare_dicke(coords)
         scale = np.linalg.norm(bloch_of(rho_bar)) / np.linalg.norm(bloch_of(q))
@@ -361,24 +322,16 @@ def _emit_table(report, stream):
 
 
 def _emit(report, fmt, path):
+    write = {"json": _emit_json, "csv": _emit_csv}.get(fmt, _emit_table)
     try:
         if path:
             with open(path, "w", encoding="utf-8") as f:
-                _dispatch_emit(report, fmt, f)
+                write(report, f)
         else:
-            _dispatch_emit(report, fmt, sys.stdout)
+            write(report, sys.stdout)
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         raise SystemExit(3)
-
-
-def _dispatch_emit(report, fmt, stream):
-    if fmt == "json":
-        _emit_json(report, stream)
-    elif fmt == "csv":
-        _emit_csv(report, stream)
-    else:
-        _emit_table(report, stream)
 
 
 # ----------------------------------------------------------------- entrypoint

@@ -1,4 +1,4 @@
-"""Universal N→M qubit cloning channel and its certification.
+"""Universal N→M qubit cloning channel: its universality and its concatenation.
 
 The channel is the symmetrization construction
 
@@ -6,32 +6,33 @@ The channel is the symmetrization construction
 
 trace-preserving on symmetric inputs. It scales the Bloch vector of the
 single-qubit reduction by N(M+2)/(M(N+2)) without rotating it; saturation
-of that optimum is verified by the test suite, not assumed here.
+of that optimum is verified by the test suite, not assumed here. Building a
+`CloneChannel` is the one check of M against the `dicke` limit.
 
-Certification works on Dicke coordinates, a complete description of a
-symmetric input, for every N ≤ M up to the `dicke` limit, and forms one output qubit
-only: the engine moves input entry (a, b) to (a+w, b+w), so that qubit is
-linear in the input diagonal and superdiagonal through 2N+1 numbers per
-(N, M), formed from the channel's factors (`_amplitudes`) and cached
-(`_transfer`, the module's only cache). The product `_output_qubit` forms
-the output qubits of s inputs (s, N+1, N+1) per channel and guards their
-trace (within 1e-10); the channel-free tail `_shrinking` forms Bloch
-vectors, shrinking factor and fidelity row by row, with the other guards,
-on the joined rows of many channels (`_shrinking_pieces`). `certify_cells`
-draws Haar tensor powers per cell in chunks of s = max(1, BLOCK_ENTRIES //
-(N+1)²), whose input coordinates stay within `symspace.BLOCK_ENTRIES`
-complex entries, and keeps running sums; a tail takes chunks while its rows
-stay within the chunk size of the channel that opened it, and runs before
-the next chunk is drawn, so memory does not grow with the sample count.
-Certification never forms a 2^N or 2^M operator nor an (M+1)×(M+1) output.
+Both measurements work on Dicke coordinates, a complete description of a
+symmetric input, and form one output qubit only: the engine moves input entry
+(a, b) to (a+w, b+w), so that qubit is linear in the input diagonal and
+superdiagonal through 2N+1 numbers per (N, M), formed from the channel's
+factors (`_amplitudes`) and cached (`_transfer`, the module's only cache). The
+product `_output_qubit` forms the output qubits of s inputs (s, N+1, N+1) per
+channel; the channel-free tail `_shrinking` forms Bloch vectors, shrinking
+factor and fidelity row by row, with its guards, on the joined rows of many
+channels (`_shrinking_pieces`). `certify_cells` (universality) draws Haar
+tensor powers per cell in chunks of s = max(1, BLOCK_ENTRIES // (N+1)²) and
+keeps running sums; a tail takes chunks while its rows stay within the chunk
+size of the channel that opened it, and runs before the next chunk is drawn,
+so memory does not grow with the sample count and no 2^N, 2^M or (M+1)×(M+1)
+operator is formed. `measure_chains` (concatenation, the paper's proof) runs
+N→M, N→L and M→L on each chain's stage-1 output, which the whole-output engine
+forms once per stage-1 channel: one product per (stage, channel), one tail.
 
 `apply_cloner_dicke` (M-N+1 shifted blocks from the same factors, nothing
-cached) gives whole outputs; `apply_cloner` embeds them in the full space
-(M within `LIMITS["full_space"]`) as V·apply_cloner_dicke(V†ρV)·V†, V the
-Dicke isometry. The dense 2^M channel remains only as an independent oracle
-in the tests.
+cached) gives whole outputs, with the trace guard (`_check_trace`, within
+1e-10) of `_output_qubit`; `apply_cloner` embeds them in the full space (M
+within `LIMITS["full_space"]`) as V·apply_cloner_dicke(V†ρV)·V†, V the Dicke
+isometry. The dense 2^M channel remains only as an independent oracle in the
+tests.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ from .linalg import (
     DegenerateInputError,
     _integer_in,
     bloch_of,
+    haar_random_pure,
     haar_random_pure_batch,
     hermitize,
     pure_fidelity,
@@ -65,7 +67,7 @@ MIN_BLOCH_LENGTH = 1e-6
 @dataclass(frozen=True)
 class CloneChannel:
     """Descriptor of the universal cloner taking n_in originals to m_out clones;
-    both are stored as ints."""
+    both are stored as ints, and m_out is within LIMITS["dicke"]."""
 
     n_in: int
     m_out: int
@@ -73,6 +75,7 @@ class CloneChannel:
     def __post_init__(self):
         n = _integer_in(self.n_in, 1, inf, "n_in must be a positive integer, got {value}")
         m = _integer_in(self.m_out, n, inf, "m_out={value} must be an integer >= n_in={lo}")
+        _integer_in(m, 1, "dicke", "dicke path limited to m_out <= {hi}")
         object.__setattr__(self, "n_in", n)
         object.__setattr__(self, "m_out", m)
 
@@ -137,7 +140,7 @@ def apply_cloner_dicke(ch, coords_n):
     than 1e-10.
     """
     coords_n, n = _dicke_coords(coords_n, "dicke", batch=True)
-    m = _integer_in(ch.m_out, 1, "dicke")
+    m = ch.m_out
     if n != ch.n_in:
         raise ValueError(f"coords shape {coords_n.shape} does not match n_in={ch.n_in}")
     left, amp = _amplitudes(n, m)
@@ -146,10 +149,14 @@ def apply_cloner_dicke(ch, coords_n):
         out[..., w:w + n + 1, w:w + n + 1] += (left[w][:, None] * amp[w]) * coords_n
     out *= n + 1
     out /= m + 1
-    drift = np.abs(np.trace(out, axis1=-2, axis2=-1) - np.trace(coords_n, axis1=-2, axis2=-1))
-    if drift.max() > 1e-10:
-        raise RuntimeError(f"channel output trace differs from input trace by {drift.max():.3e}")
+    _check_trace(np.trace(out, axis1=-2, axis2=-1), np.trace(coords_n, axis1=-2, axis2=-1))
     return out
+
+
+def _check_trace(out_trace, in_trace):
+    """Raises if any output trace differs from its input trace by more than 1e-10."""
+    if (drift := np.abs(out_trace - in_trace).max()) > 1e-10:
+        raise RuntimeError(f"channel output trace differs from input trace by {drift:.3e}")
 
 
 def measure_shrinking(ch, rho_n):
@@ -171,14 +178,11 @@ def measure_shrinking_dicke(ch, coords):
 
 def _output_qubit(ch, coords):
     """One clone's qubit (..., 2, 2) of each input (..., N+1, N+1), through
-    `_transfer`; raises if an output trace is off its input's by over 1e-10."""
-    _integer_in(ch.m_out, 1, "dicke")
+    `_transfer`, with the trace guard of `apply_cloner_dicke`."""
     t_diag, t_off = _transfer(ch.n_in, ch.m_out)
     diag = np.diagonal(coords, axis1=-2, axis2=-1)
     p00, p11, trace = np.moveaxis(diag @ t_diag, -1, 0)
-    drift = np.abs(trace - np.sum(diag, axis=-1))
-    if drift.max() > 1e-10:
-        raise RuntimeError(f"channel output trace differs from input trace by {drift.max():.3e}")
+    _check_trace(trace, np.sum(diag, axis=-1))
     p01 = np.diagonal(coords, 1, axis1=-2, axis2=-1) @ t_off
     return np.stack((p00, p01, np.conj(p01), p11), axis=-1).reshape(p00.shape + (2, 2))
 
@@ -249,8 +253,6 @@ def certify_cells(cells, n_samples):
     `certify_universality`: the cell keeps its stream, chunks and running sums,
     and only the tail joins chunks of many cells (see the module docstring)."""
     n_samples = _integer_in(n_samples, 2, inf, "need at least 2 samples")
-    for ch, _ in cells:
-        _integer_in(ch.m_out, 1, "dicke")
     stats = [(0.0, 0.0, inf, -inf)] * len(cells)   # eta and fid sums, eta min and max
     pending, room = [], 0   # the open tail's pieces and the rows it still takes
 
@@ -275,6 +277,45 @@ def certify_cells(cells, n_samples):
     return [CloneReport(ch.n_in, ch.m_out, float(eta_sum / n_samples), float(fid_sum / n_samples),
                         float(eta_max - eta_min))
             for (ch, _), (eta_sum, fid_sum, eta_min, eta_max) in zip(cells, stats)]
+
+
+def measure_inputs(inputs):
+    """(q_in, etas, fids) of inputs (channel, coords (N+1)x(N+1)) of any sizes: each
+    input's reduced qubit, its output qubit through its own channel, one tail for all."""
+    q_in = np.array([reduced_qubit_from_dicke(coords) for _, coords in inputs])
+    return (q_in, *_shrinking(q_in, np.array([_output_qubit(ch, c) for ch, c in inputs])))
+
+
+def measure_chains(chains):
+    """Stage-1 (N→M), direct (N→L) and stage-2 (M→L on the stage-1 output) shrinking
+    factors of each chain (n, m, l, seed), for |psi><psi|^⊗n with psi the Haar state of
+    `seed`: one input batch per n, one product per (stage, channel), the engine once per
+    stage-1 channel, one tail. Every channel is built, so checked, before any draw."""
+    keys = dict.fromkeys(key for n, m, l, _ in chains for key in ((n, m), (m, l), (n, l)))
+    # malformed keys are built first: a bad order is refused before a channel past the limit
+    channels = {key: CloneChannel(*key) for key in sorted(keys, key=lambda k: 1 <= k[0] <= k[1])}
+    inputs, mids, pieces = {}, {}, []   # chain index -> (coordinates, qubit): input, stage-1 output
+    for n in dict.fromkeys(c[0] for c in chains):
+        idx = [i for i, c in enumerate(chains) if c[0] == n]
+        psi = np.array([haar_random_pure(rng_from_seed(chains[i][3])) for i in idx])
+        v = tensor_power_dicke(psi, n)
+        coords = v[:, :, None] * v[:, None, :].conj()
+        inputs.update(zip(idx, zip(coords, reduced_qubit_from_dicke(coords))))
+    for stage, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):   # stage 1, direct, stage 2
+        groups, source = {}, mids if a else inputs
+        for i, c in enumerate(chains):
+            groups.setdefault((c[a], c[b]), []).append(i)
+        for key, idx in groups.items():
+            batch = np.stack([source[i][0] for i in idx])
+            pieces.append(((stage, idx), np.stack([source[i][1] for i in idx]),
+                           _output_qubit(channels[key], batch)))
+            if b == 1:   # stage 2 runs on the stage-1 outputs
+                out = apply_cloner_dicke(channels[key], batch)
+                mids.update(zip(idx, zip(out, reduced_qubit_from_dicke(out))))
+    etas = np.empty((3, len(chains)))
+    for (stage, idx), eta, _ in _shrinking_pieces(pieces):
+        etas[stage, idx] = eta
+    return list(zip(*etas.tolist()))
 
 
 def tensor_power_input(psi, n):

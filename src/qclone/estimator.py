@@ -39,7 +39,6 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import (
-    LIMITS,
     PHYS_TOL,
     _integer_in,
     hermitize,
@@ -64,7 +63,7 @@ class EstimationReport:
     statistical_error: float
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def sphere_quadrature(m):
     """Nodes and weights exact for the degree arising at M = m copies.
 
@@ -72,7 +71,7 @@ def sphere_quadrature(m):
     to 1 and integrate any Bloch-sphere polynomial of the relevant degree
     exactly against the Haar measure.
     """
-    m = _integer_in(m, 1, "dicke", LIMITS["copies"][1])   # the copy-count wording
+    m = _integer_in(m, 1, "dicke")
     n_polar = (2 * m + 4 + 1) // 2 + 2
     n_azim = 2 * m + 5
     nodes, gw = np.polynomial.legendre.leggauss(n_polar)
@@ -89,7 +88,7 @@ def sphere_quadrature(m):
     return states, weights
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def quadrature_powers(m):
     """Read-only Dicke coefficients of |phi_i>^⊗m, one row per node phi_i
     of `sphere_quadrature(m)`."""
@@ -102,7 +101,7 @@ def quadrature_powers(m):
 def povm_completeness_residual(m):
     """Max-entry deviation of ∫ (M+1)|phi^⊗M><phi^⊗M| dμ from the identity
     on the symmetric subspace (in Dicke coordinates)."""
-    m = _integer_in(m, 1, "dicke", LIMITS["copies"][1])   # the copy-count wording
+    m = _integer_in(m, 1, "dicke")
     _, weights = sphere_quadrature(m)
     vecs = quadrature_powers(m)
     acc = (m + 1) * ((vecs.T * weights) @ vecs.conj())

@@ -40,9 +40,10 @@ LIMITS = {
     # qubits of a 2^n operator: at the limit random_symmetric_density takes
     # 0.21 s and 294 MB; one qubit more peaked at 1,066 MB, two ask for 4 GiB.
     "full_space": (12, "n must be an integer in {lo}..{hi} for a 2^n operator, got {value}"),
-    # clones of the channel and copies of measure-and-prepare in Dicke
-    # coordinates: verify_statement_b drives both to the limit.
-    "dicke": (60, "dicke path limited to m_out <= {hi}"),
+    # qubits in Dicke coordinates: clones of the channel (each CloneChannel
+    # refuses more, in its own wording) and copies of measure-and-prepare;
+    # verify_statement_b drives both to the limit.
+    "dicke": (60, "n must be an integer in {lo}..{hi} for Dicke coordinates, got {value}"),
     # qubits of a pseudo-mixture: the range test_coordinate_core_sweep measures.
     "pseudo_mixture": (14, "pseudo-mixture n must be an integer in {lo}..{hi}, got {value}"),
     # copies of estimation: test_matches_overlap_sum_oracle checks each to 1e-14.

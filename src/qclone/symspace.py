@@ -42,7 +42,7 @@ def _frozen(arr):
     return arr
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def dicke_basis(n):
     """Isometry V of shape (2^n, n+1); column k is the Dicke state |D_k>."""
     n = _integer_in(n, 1, "full_space")
@@ -54,7 +54,7 @@ def dicke_basis(n):
     return _frozen(v)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def symmetrizer(n):
     """Projector onto the symmetric subspace, S = V V†."""
     v = dicke_basis(n)

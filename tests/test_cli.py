@@ -1,6 +1,8 @@
+import ast
 import json
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,9 +140,13 @@ class TestConcatBatch:
     def test_verify_all_makes_one_core_call_per_channel(self, monkeypatch):
         # products: the 26 clone cells (one chunk each), 26 stage-1 groups (n, m),
         # 26 direct groups (n, l) and 36 stage-2 groups (m, l), then the three
-        # mixed-input cells; tails: one each for the clone, concat and mixed rows
-        products, tails = [], []
+        # mixed-input cells; tails: one each for the clone, concat and mixed rows;
+        # reductions: 26 cell chunks, 4 input batches, 26 stage-1 outputs, 3 mixed
+        # inputs and 3 draws of random_symmetric_dicke; engine calls: 26 stage-1
+        # groups (cloner), 26 sanity cells (cli) and 11 statement-B rows (estimator)
+        products, tails, reductions, engine = [], [], [], []
         output_qubit, shrinking = cloner._output_qubit, cloner._shrinking
+        reduced, apply_dicke = symspace.reduced_qubit_from_dicke, cloner.apply_cloner_dicke
 
         def product(ch, coords):
             products.append(((ch.n_in, ch.m_out), len(coords) if np.ndim(coords) == 3 else None))
@@ -150,9 +156,23 @@ class TestConcatBatch:
             tails.append(len(q_in))
             return shrinking(q_in, q_out)
 
-        for module in (cli, cloner):
-            monkeypatch.setattr(module, "_output_qubit", product)
-            monkeypatch.setattr(module, "_shrinking", tail)
+        def reduction(coords):
+            reductions.append(None)
+            return reduced(coords)
+
+        monkeypatch.setattr(cloner, "_output_qubit", product)
+        monkeypatch.setattr(cloner, "_shrinking", tail)
+        for module in (cloner, symspace):
+            monkeypatch.setattr(module, "reduced_qubit_from_dicke", reduction)
+
+        def engine_call(caller):
+            def call(ch, coords):
+                engine.append(caller)
+                return apply_dicke(ch, coords)
+            return call
+
+        for module in (cloner, cli, estimator):
+            monkeypatch.setattr(module, "apply_cloner_dicke", engine_call(module.__name__))
         samples = 3
         cli.run_verify_all(1, samples, 1e-9)
         cells, chains = cli.clone_cells(1), cli.concat_chains(1)
@@ -163,6 +183,9 @@ class TestConcatBatch:
             assert [key for key, _ in stage] == list(dict.fromkeys((c[a], c[b]) for c in chains))
             assert sum(size for _, size in stage) == 100
         assert tails == [26 * samples, 300, 3]
+        assert len(reductions) == 62
+        assert [engine.count(f"qclone.{name}") for name in ("cloner", "cli", "estimator")] == \
+            [26, 26, 11]
 
     def test_concat_builds_one_channel_per_key(self, monkeypatch):
         built = []
@@ -172,10 +195,19 @@ class TestConcatBatch:
             built.append((n, m))
             return channel(n, m)
 
-        monkeypatch.setattr(cli, "CloneChannel", counting)
+        monkeypatch.setattr(cloner, "CloneChannel", counting)
         chains = cli.concat_chains(1)
         cli.run_concat_chains(chains, 1e-9)
         assert sorted(built) == sorted({k for n, m, l, _ in chains for k in ((n, m), (m, l), (n, l))})
+
+
+def test_cli_imports_no_private_cloner_name():
+    # the CLI draws the grid and formats rows; cloner owns the products and tails
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module in ("cloner", "qclone.cloner")
+                for alias in node.names]
+    assert imported and [name for name in imported if name.startswith("_")] == []
 
 
 class TestLedgerGrid:
@@ -435,12 +467,13 @@ def test_argument_contract(capsys, argv, code):
 @pytest.mark.parametrize("argv", [
     ["concat", "--n", "2000", "--m", "2000", "--l", "2000"],
     ["concat", "--n", "1", "--m", "1", "--l", "1000000"],
+    ["concat", "--n", "1", "--m", "60", "--l", "61"],   # only stage 2 and direct are past it
 ])
 def test_concat_checks_dicke_limit_before_drawing(monkeypatch, capsys, argv):
     # every channel is checked as it is built, so no input is drawn and no stage runs
     calls = []
     for name in ("tensor_power_dicke", "_output_qubit"):
-        monkeypatch.setattr(cli, name, lambda *a, _name=name: calls.append(_name))
+        monkeypatch.setattr(cloner, name, lambda *a, _name=name: calls.append(_name))
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: dicke path limited to m_out <= 60\n")

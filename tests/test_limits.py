@@ -21,8 +21,7 @@ from qclone.linalg import LIMITS, rng_from_seed
 README = Path(__file__).resolve().parents[1] / "README.md"
 KET0 = np.array([1, 0], dtype=complex)
 RHO1 = np.diag([0.75, 0.25]).astype(complex)   # one qubit, Bloch length 1/2
-REFUSED = (2.5, math.nan)                      # never a count, not even a cached one
-MAYBE_CACHED = (True, 3.0)                     # an lru_cache may hit on an equal numpy int
+REFUSED = (2.5, math.nan, True, 3.0)           # never a count, not even a cached one
 
 
 def limit(name):
@@ -48,8 +47,8 @@ COUNT_ENTRIES = {
         lambda k: symspace.random_symmetric_dicke(k, rng_from_seed(3)),
         limit("pseudo_mixture"), True),
     "symspace.tensor_power_dicke": (lambda k: symspace.tensor_power_dicke(KET0, k), None, True),
-    "cloner.CloneChannel n_in": (lambda k: CloneChannel(k, 10 ** 6), None, True),
-    "cloner.CloneChannel m_out": (lambda k: CloneChannel(1, k), None, True),
+    "cloner.CloneChannel n_in": (lambda k: CloneChannel(k, limit("dicke")), limit("dicke"), True),
+    "cloner.CloneChannel m_out": (lambda k: CloneChannel(1, k), limit("dicke"), True),
     "cloner.apply_cloner": (
         lambda k: cloner.apply_cloner(CloneChannel(1, k), RHO1), limit("full_space"), False),
     "cloner.apply_cloner_dicke": (
@@ -105,12 +104,10 @@ def _outcome(call, value):
 @pytest.mark.parametrize("entry", COUNT_ENTRIES)
 def test_count_sweep(entry):
     call, hi, run_limit = COUNT_ENTRIES[entry]
-    cached = hasattr(call, "cache_info")
-    values = [*REFUSED, *MAYBE_CACHED, -1, 0, np.int64(2), np.int64(-1)]
-    for value in values:
+    # equal numpy integers first: a cache keyed without types would answer True and 3.0
+    for value in [np.int64(1), np.int64(3), *REFUSED, -1, 0, np.int64(2), np.int64(-1)]:
         got = _outcome(call, value)
-        strict = REFUSED if cached else REFUSED + MAYBE_CACHED
-        if any(value is v for v in strict):
+        if any(value is v for v in REFUSED):
             assert got == "refused", (entry, value)
     if hi is not None:
         if run_limit:
@@ -147,6 +144,16 @@ def test_coordinate_shape_sweep(entry):
     assert _outcome(call, _coords((2, 2))) == "ok", entry
     if run_limit:
         assert _outcome(call, _coords((hi + 1, hi + 1))) == "ok", entry
+
+
+@pytest.mark.parametrize("entry", ["symspace.reduced_qubit_from_dicke",
+                                   "estimator.measure_and_prepare_dicke"])
+def test_coordinate_refusal_names_no_channel(entry):
+    # coordinates one past the limit have no m_out: the table's wording names n
+    call, hi = COORD_ENTRIES[entry][0], limit("dicke")
+    with pytest.raises(ValueError) as refusal:
+        call(_coords((hi + 2, hi + 2)))
+    assert str(refusal.value) == f"n must be an integer in 1..{hi} for Dicke coordinates, got {hi + 1}"
 
 
 def test_full_space_limit_refused_before_building():
