@@ -11,13 +11,15 @@ of that optimum is verified by the test suite, not assumed here. Building a
 
 Both measurements work on Dicke coordinates, a complete description of a
 symmetric input, and form one output qubit only: the engine moves input entry
-(a, b) to (a+w, b+w), so that qubit is linear in the input diagonal and
-superdiagonal through 2N+1 numbers per (N, M), formed from the channel's
-factors (`_amplitudes`) and cached (`_transfer`, the module's only cache). The
-product `_output_qubit` forms the output qubits of s inputs (s, N+1, N+1) per
-channel; the channel-free tail `_shrinking` forms Bloch vectors, shrinking
-factor and fidelity row by row, with its guards, on the joined rows of many
-channels (`_shrinking_pieces`). `certify_cells` (universality) draws Haar
+(a, b) to (a+w, b+w), so that qubit reads only the input band (diagonal and
+superdiagonal) through the band map `_transfer(N, M)`: 2N+1 rows formed from
+the channel's factors (`_amplitudes`) weighted by the reduction's map
+`symspace._reduction(M)`, and cached (the module's only cache). The product
+`_output_qubit` is that map in the band kernel `symspace._band_qubit`, with
+the trace guard, on s inputs (s, N+1, N+1) per channel; the channel-free
+tail `_shrinking` forms Bloch vectors, shrinking factor and fidelity row by
+row, with its guards, on the joined rows of many channels
+(`_shrinking_pieces`). `certify_cells` (universality) draws Haar
 tensor powers per cell in chunks of s = max(1, BLOCK_ENTRIES // (N+1)²) and
 keeps running sums; a tail takes chunks while its rows stay within the chunk
 size of the channel that opened it, and runs before the next chunk is drawn,
@@ -54,7 +56,9 @@ from .linalg import (
 )
 from .symspace import (
     BLOCK_ENTRIES,
+    _band_qubit,
     _dicke_coords,
+    _reduction,
     embed_dicke,
     reduced_qubit_from_dicke,
     symmetric_coords,
@@ -111,18 +115,17 @@ def _amplitudes(n, m):
 
 @lru_cache(maxsize=None)
 def _transfer(n, m):
-    """Read-only map to one clone's qubit: t_diag (N+1, 3) takes the input
+    """Read-only band map to one clone's qubit: t_diag (N+1, 3) takes the input
     diagonal to (p00, p11, trace), t_off (N,) the superdiagonal to p01. Only
     the coefficients k[w, a, a] and k[w, a, a+1] of `_amplitudes` enter
-    (entry (a, b) goes to (a+w, b+w)), weighted by (M-j)/M, j/M, 1 and
-    sqrt((j+1)(M-j))/M, j = a+w, so no (M-N+1)(N+1)² table is formed."""
+    (entry (a, b) goes to (a+w, b+w)), weighted by row j = a+w of the
+    reduction's map `_reduction(M)`, so no (M-N+1)(N+1)² table is formed."""
     left, amp = _amplitudes(n, m)
+    red_diag, red_off = _reduction(m)
     j = np.arange(m - n + 1)[:, None] + np.arange(n + 1)  # (w, a) -> a + w
-    weights = np.stack(((m - j) / m, j / m, np.ones(j.shape)), axis=-1)
-    off_weights = np.sqrt((j[:, :-1] + 1) * (m - j[:, :-1])) / m
     scale = (n + 1) / (m + 1)
-    t_diag = scale * np.sum((left * amp)[..., None] * weights, axis=0)
-    t_off = scale * np.sum(left[:, :-1] * amp[:, 1:] * off_weights, axis=0)
+    t_diag = scale * np.sum((left * amp)[..., None] * red_diag[j], axis=0)
+    t_off = scale * np.sum(left[:, :-1] * amp[:, 1:] * red_off[j[:, :-1]], axis=0)
     t_diag.flags.writeable = t_off.flags.writeable = False
     return t_diag, t_off
 
@@ -154,8 +157,9 @@ def apply_cloner_dicke(ch, coords_n):
 
 
 def _check_trace(out_trace, in_trace):
-    """Raises if any output trace differs from its input trace by more than 1e-10."""
-    if (drift := np.abs(out_trace - in_trace).max()) > 1e-10:
+    """Raises if any output trace differs from its input trace by more than
+    1e-10, or by NaN."""
+    if not (drift := np.abs(out_trace - in_trace).max()) <= 1e-10:
         raise RuntimeError(f"channel output trace differs from input trace by {drift:.3e}")
 
 
@@ -179,12 +183,9 @@ def measure_shrinking_dicke(ch, coords):
 def _output_qubit(ch, coords):
     """One clone's qubit (..., 2, 2) of each input (..., N+1, N+1), through
     `_transfer`, with the trace guard of `apply_cloner_dicke`."""
-    t_diag, t_off = _transfer(ch.n_in, ch.m_out)
-    diag = np.diagonal(coords, axis1=-2, axis2=-1)
-    p00, p11, trace = np.moveaxis(diag @ t_diag, -1, 0)
-    _check_trace(trace, np.sum(diag, axis=-1))
-    p01 = np.diagonal(coords, 1, axis1=-2, axis2=-1) @ t_off
-    return np.stack((p00, p01, np.conj(p01), p11), axis=-1).reshape(p00.shape + (2, 2))
+    qubit, trace = _band_qubit(coords, *_transfer(ch.n_in, ch.m_out))
+    _check_trace(trace, np.trace(coords, axis1=-2, axis2=-1))
+    return qubit
 
 
 def _shrinking(q_in, q_out):
@@ -252,7 +253,7 @@ def certify_cells(cells, n_samples):
     """One CloneReport per cell (channel, seed), each equal to the cell's own
     `certify_universality`: the cell keeps its stream, chunks and running sums,
     and only the tail joins chunks of many cells (see the module docstring)."""
-    n_samples = _integer_in(n_samples, 2, inf, "need at least 2 samples")
+    n_samples = _integer_in(n_samples, 2, "samples")
     stats = [(0.0, 0.0, inf, -inf)] * len(cells)   # eta and fid sums, eta min and max
     pending, room = [], 0   # the open tail's pieces and the rows it still takes
 

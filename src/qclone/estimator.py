@@ -6,23 +6,26 @@ The measurement is the continuous covariant family over pure states,
 
 complete on the symmetric subspace. Averages over the Bloch sphere are
 trigonometric polynomials of known degree, so a Gauss-Legendre grid in
-cos(theta) times a uniform grid in azimuth integrates them exactly; no
-sampling error enters the exact path. Its one kernel,
-`measure_and_prepare_dicke`, is two BLAS products; exact estimation applies
-it to |psi><psi|^⊗M and reads F = <psi|rho_bar|psi>. The Monte Carlo path
-draws outcomes exactly instead: under the Haar measure the overlap u =
-|<phi|psi>|^2 is uniform on [0, 1] and the azimuth of phi about psi is
-uniform and independent of it, so the outcome density (M+1) u^M is sampled
-by inverting its distribution function, with no rejection; the azimuth
-phase is a table entry times a short series. The estimate reads the drawn
-overlap u and azimuth phase and never forms the outcome states;
-`sample_candidates` forms them from the same draws, as the explicit outcome
-sampler and the tests' oracle. Both paths take the copy count M within
-`linalg.LIMITS["copies"]`; the Monte Carlo path draws shots within
-`LIMITS["shots"]`. It streams them in chunks of BLOCK_ENTRIES // 2 shots
-from one generator into one set of work arrays and keeps running sums, so
-its memory does not grow with the shot count and the shot limit is a time
-limit (see the table).
+cos(theta) (`_polar_rule`) times a uniform grid in azimuth integrates them
+exactly; no sampling error enters the exact path. The azimuth sum is exact
+in closed form, so `measure_and_prepare_dicke` is the band kernel
+`symspace._band_qubit` with a map summed over the polar nodes alone
+(`_estimation_map`); exact estimation applies it to |psi><psi|^⊗M and
+reads F = <psi|rho_bar|psi>.
+
+The Monte Carlo path draws outcomes exactly instead: under the Haar measure
+the overlap u = |<phi|psi>|^2 is uniform on [0, 1] and the azimuth of phi
+about psi is uniform and independent of it, so the outcome density
+(M+1) u^M is sampled by inverting its distribution function, with no
+rejection; the azimuth phase is a table entry times a short series. The
+estimate reads the drawn overlap u and azimuth phase and never forms the
+outcome states; `sample_candidates` forms them from the same draws, as the
+explicit outcome sampler and the tests' oracle. Both paths take the copy
+count M within `linalg.LIMITS["copies"]`; the Monte Carlo path draws shots
+within `LIMITS["shots"]`. It streams them in chunks of BLOCK_ENTRIES // 2
+shots from one generator into one set of work arrays and keeps running
+sums, so its memory does not grow with the shot count and the shot limit is
+a time limit (see the table).
 
 Estimating on M copies and preparing the candidate realizes cloning to
 arbitrarily many copies; its single-qubit output is exactly the
@@ -45,7 +48,8 @@ from .linalg import (
     pure_fidelity,
     rng_from_seed,
 )
-from .symspace import BLOCK_ENTRIES, _dicke_coords, symmetric_coords, tensor_power_dicke
+from .symspace import (BLOCK_ENTRIES, _band_qubit, _dicke_coords, _frozen, symmetric_coords,
+                       tensor_power_dicke)
 from .cloner import CloneChannel, apply_cloner_dicke
 
 _PHASE_STEPS = 256    # e^(2 pi i x) = _PHASES[j] e^(i theta), j = floor(256 x)
@@ -63,29 +67,49 @@ class EstimationReport:
     statistical_error: float
 
 
+def _polar_rule(m):
+    """cos(theta/2), sin(theta/2) and weights (summing to 1) of the polar
+    Gauss-Legendre rule in cos(theta) of `sphere_quadrature(m)`."""
+    nodes, gw = np.polynomial.legendre.leggauss((2 * m + 4 + 1) // 2 + 2)
+    thetas = np.arccos(nodes)
+    return np.cos(thetas / 2), np.sin(thetas / 2), gw / 2
+
+
 @lru_cache(maxsize=None, typed=True)
 def sphere_quadrature(m):
     """Nodes and weights exact for the degree arising at M = m copies.
 
     Returns (states, weights): states[i] is a pure qubit state, weights sum
     to 1 and integrate any Bloch-sphere polynomial of the relevant degree
-    exactly against the Haar measure.
+    exactly against the Haar measure: the polar rule times 2m+5 azimuths.
     """
     m = _integer_in(m, 1, "dicke")
-    n_polar = (2 * m + 4 + 1) // 2 + 2
+    c, s, w = _polar_rule(m)
     n_azim = 2 * m + 5
-    nodes, gw = np.polynomial.legendre.leggauss(n_polar)
     phis = 2 * np.pi * np.arange(n_azim) / n_azim
-    thetas = np.arccos(nodes)
-    c = np.cos(thetas / 2)[:, None]
-    s = np.sin(thetas / 2)[:, None]
-    amp0 = np.broadcast_to(c, (n_polar, n_azim))
-    amp1 = s * np.exp(1j * phis)[None, :]
+    amp0 = np.broadcast_to(c[:, None], (len(c), n_azim))
+    amp1 = s[:, None] * np.exp(1j * phis)[None, :]
     states = np.stack([amp0.ravel(), amp1.ravel()], axis=1)
-    weights = np.repeat(gw / 2 / n_azim, n_azim)
+    weights = np.repeat(w / n_azim, n_azim)
     states.flags.writeable = False
     weights.flags.writeable = False
     return states, weights
+
+
+@lru_cache(maxsize=None)
+def _estimation_map(m):
+    """Read-only band map of measure-and-prepare on M copies. The 2m+5
+    azimuths of `sphere_quadrature` average e^(i(l-k-d)phi), d = 0, 1, to [l = k+d]
+    exactly, so only the polar nodes (c_j, s_j) with weights w_j remain; with
+    v_j the Dicke coefficients of (c_j, s_j)^⊗M, t_diag[k] = (M+1) Σ_j w_j
+    v_jk² (c_j², s_j², 1), whose trace column is the completeness diagonal,
+    and t_off[k] = (M+1) Σ_j w_j v_jk v_j,k+1 c_j s_j."""
+    c, s, w = _polar_rule(m)
+    vecs = tensor_power_dicke(np.stack((c, s), axis=-1), m).real   # (nodes, M+1)
+    outputs = np.stack((c * c, s * s, np.ones_like(c)), axis=-1)    # (p00, p11, trace) per node
+    t_diag = (m + 1) * ((w[:, None] * vecs * vecs).T @ outputs)
+    t_off = (m + 1) * ((w * c * s) @ (vecs[:, :-1] * vecs[:, 1:]))
+    return _frozen(t_diag), _frozen(t_off)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -228,13 +252,10 @@ def measure_and_prepare_channel(m, rho_m):
 
 def measure_and_prepare_dicke(coords):
     """`measure_and_prepare_channel` on the Dicke coordinates (M+1)x(M+1)
-    of an M-copy input: node probabilities p = (M+1) q Re<v|rho|v> over the
-    nodes' tensor powers v, then rho_bar = Σ p |phi><phi|, two products."""
+    of an M-copy input: the band map `_estimation_map(M)` on the input's
+    diagonal and superdiagonal."""
     coords, m = _dicke_coords(coords, "dicke")
-    states, weights = sphere_quadrature(m)
-    vecs = quadrature_powers(m)
-    probs = (m + 1) * weights * np.sum(vecs.conj() * (vecs @ coords.T), axis=1).real
-    return hermitize((states.T * probs) @ states.conj())
+    return hermitize(_band_qubit(coords, *_estimation_map(m))[0])
 
 
 def verify_statement_b(m, l, psi=None):

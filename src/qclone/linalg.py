@@ -51,6 +51,9 @@ LIMITS = {
     # Monte Carlo shots, streamed, so a time limit: 0.26 to 0.33 s in 36 MB
     # max RSS, with a 0.92 MB tracemalloc peak.
     "shots": (10 ** 7, "n_shots must be in {lo}..{hi}, got {value}"),
+    # certification samples, streamed, so a time limit: 1.0 s at (N, M) = (1, 2),
+    # 1.7 s at (6, 60) and 37 s at (60, 60), each within 40 MB max RSS.
+    "samples": (10 ** 6, "need at least {lo} samples and at most {hi}, got {value}"),
 }
 
 
@@ -124,12 +127,13 @@ def partial_trace(rho, keep, n=None):
 
 
 def hermitize(rho, tol=PSD_TOL):
-    """Symmetrize floating-point drift; asserts the drift was small. Leading
-    axes are a batch: each trailing square matrix is symmetrized."""
+    """Symmetrize floating-point drift; asserts the drift was small (a NaN
+    drift is not). Leading axes are a batch: each trailing square matrix is
+    symmetrized."""
     rho = np.asarray(rho, dtype=complex)
     adj = rho.conj().swapaxes(-1, -2)
     dev = np.max(np.abs(rho - adj))
-    if dev >= tol:
+    if not dev < tol:
         raise ValueError(f"Hermiticity deviation {dev:.3e} exceeds {tol:.0e}")
     return (rho + adj) / 2
 

@@ -14,6 +14,13 @@ max|ρ - SρS| < tol/2, which puts both max|ρ - Sρ| and max|ρ - ρS| below
 tol; for a C-contiguous complex128 ρ it allocates no 2^n x 2^n temporary.
 `is_symmetric_support` is the same pass's verdict.
 
+One qubit of a symmetric state, or of the output of a channel that commutes
+with rotations about z, reads only the diagonal and superdiagonal (the
+"band") of its Dicke coordinates. `_band_qubit` alone turns a band into a
+qubit, through a cached read-only band map: `_reduction` (the reduction),
+`cloner._transfer` (one clone) or `estimator._estimation_map`
+(measure-and-prepare).
+
 `pseudo_mixture_decompose` writes any symmetric density operator as a
 signed combination of identical tensor-power pure projectors with weights
 summing to one; weights may be negative. The projectors sit at the nodes
@@ -62,13 +69,17 @@ def symmetrizer(n):
 
 
 def _dicke_coords(coords, limit, batch=False):
-    """(coords, n) of Dicke coordinates: complex, (n+1)x(n+1) in the last two
-    axes with n in 1..LIMITS[limit], after one leading batch axis if `batch`."""
+    """(coords, n) of Dicke coordinates: complex and finite, (n+1)x(n+1) in the
+    last two axes with n in 1..LIMITS[limit], after one leading batch axis if
+    `batch`."""
     coords = np.asarray(coords, dtype=complex)
     n = coords.shape[-1] - 1 if coords.ndim >= 2 else 0
     if coords.shape[-2:] != (n + 1, n + 1) or n < 1 or coords.ndim > 2 + batch:
         raise ValueError(f"Dicke coordinates must be (n+1)x(n+1), n >= 1, got {coords.shape}")
-    return coords, _integer_in(n, 1, limit)
+    n = _integer_in(n, 1, limit)
+    if not np.isfinite(coords).all():
+        raise ValueError("Dicke coordinates must be finite")
+    return coords, n
 
 
 def project_dicke(op, n=None):
@@ -164,18 +175,31 @@ def tensor_power_dicke(psi, n):
     return binom * psi[..., :1] ** (n - ks) * psi[..., 1:] ** ks
 
 
+@lru_cache(maxsize=None)
+def _reduction(m):
+    """Read-only band map of the reduction of m qubits: diagonal entry k weighs
+    ((m-k)/m, k/m, 1) in (p00, p11, trace), superdiagonal entry k sqrt((k+1)(m-k))/m in p01."""
+    k = np.arange(m + 1)
+    t_diag = np.stack(((m - k) / m, k / m, np.ones(m + 1)), axis=-1)
+    return _frozen(t_diag), _frozen(np.sqrt((k[:-1] + 1) * (m - k[:-1])) / m)
+
+
+def _band_qubit(coords, t_diag, t_off):
+    """(qubit (..., 2, 2), trace (...)) of coordinates (..., n+1, n+1) under a
+    band map: the diagonal through t_diag (n+1, 3) to (p00, p11, trace), the
+    superdiagonal through t_off (n,) to p01. Sums run per row, so each row of
+    a batch equals its batch of one bit for bit."""
+    band = np.sum(np.diagonal(coords, axis1=-2, axis2=-1)[..., None] * t_diag, axis=-2)
+    p01 = np.sum(np.diagonal(coords, 1, axis1=-2, axis2=-1) * t_off, axis=-1)
+    qubit = np.stack((band[..., 0], p01, p01.conj(), band[..., 1]), axis=-1)
+    return qubit.reshape(p01.shape + (2, 2)), band[..., 2]
+
+
 def reduced_qubit_from_dicke(coords):
     """Single-qubit reduction of a symmetric m-qubit state in Dicke coords;
     a leading axis is a batch, (s, m+1, m+1) -> (s, 2, 2)."""
     coords, m = _dicke_coords(coords, "dicke", batch=True)
-    ks = np.arange(m + 1)
-    diag = np.diagonal(coords, axis1=-2, axis2=-1)
-    p00 = np.sum(diag * (m - ks), axis=-1) / m
-    p11 = np.sum(diag * ks, axis=-1) / m
-    off = np.diagonal(coords, offset=1, axis1=-2, axis2=-1)  # coords[k, k+1]
-    p01 = np.sum(off * np.sqrt((ks[:-1] + 1) * (m - ks[:-1])), axis=-1) / m
-    return np.stack((np.stack((p00, p01), axis=-1),
-                     np.stack((np.conj(p01), p11), axis=-1)), axis=-2)
+    return _band_qubit(coords, *_reduction(m))[0]
 
 
 @dataclass(frozen=True)

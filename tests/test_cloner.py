@@ -242,6 +242,32 @@ class TestDickePath:
             assert np.array_equal(out[i], apply_cloner_dicke(ch, coords[i]))
             assert np.array_equal(reduced[i], reduced_qubit_from_dicke(out[i]))
 
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 7), (6, 60)])
+    def test_output_qubit_batch_matches_single_inputs(self, n, m):
+        # the band kernel sums per row, so a batch row is its batch of one
+        rng = rng_from_seed(960 + n + m)
+        g = rng.standard_normal((5, n + 1, n + 1)) + 1j * rng.standard_normal((5, n + 1, n + 1))
+        coords = g @ g.conj().swapaxes(1, 2)
+        ch = CloneChannel(n, m)
+        qubits = cloner._output_qubit(ch, coords)
+        assert qubits.shape == (5, 2, 2)
+        for i in range(5):
+            assert np.array_equal(qubits[i], cloner._output_qubit(ch, coords[i]))
+
+    def test_rejects_non_finite_coordinates(self):
+        # a NaN or an infinity is refused, not measured as a NaN shrinking factor
+        for bad in (nan, np.inf, complex(0, nan)):
+            coords = np.eye(3, dtype=complex) / 3
+            coords[0, 1] = bad
+            for call in (lambda c: measure_shrinking_dicke(CloneChannel(2, 4), c),
+                         lambda c: apply_cloner_dicke(CloneChannel(2, 4), c)):
+                with pytest.raises(ValueError, match="must be finite"):
+                    call(coords)
+
+    def test_trace_guard_fails_on_nan(self):
+        with pytest.raises(RuntimeError, match="differs from input trace by nan"):
+            cloner._check_trace(np.array([1.0, nan]), np.ones(2))
+
     def test_rejects_bad_batch_shapes(self):
         for shape in [(4, 4), (2, 2, 3, 3), (3,), (2, 2, 2)]:
             with pytest.raises(ValueError):

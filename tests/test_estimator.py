@@ -9,6 +9,7 @@ from qclone.bounds import eta_meas_opt, eta_opt, fidelity_meas_opt
 from qclone.cloner import CloneChannel, apply_cloner, tensor_power_input
 from qclone.estimator import (
     _draw,
+    _estimation_map,
     _scratch,
     estimate_monte_carlo,
     estimation_fidelity_exact,
@@ -436,6 +437,30 @@ class TestMeasureAndPrepare:
             probs = (m + 1) * weights * np.einsum("ij,jk,ik->i", vecs.conj(), coords, vecs).real
             oracle = hermitize(np.einsum("i,ij,ik->jk", probs, states, states.conj()))
             assert np.max(np.abs(measure_and_prepare_dicke(coords) - oracle)) <= 2e-15
+
+    def test_map_is_read_only(self):
+        # the cached band map is shared by every call on M copies
+        t_diag, t_off = _estimation_map(9)
+        assert t_diag.shape == (10, 3) and t_off.shape == (9,)
+        assert _estimation_map(9)[0] is t_diag
+        for arr in (t_diag, t_off):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_warm_memory_is_the_band(self):
+        # the band map is O(M) per call; the node products over the 2-D design
+        # peaked at 15.7 MB at M = 60
+        m = 60
+        coords = np.eye(m + 1, dtype=complex) / (m + 1)
+        measure_and_prepare_dicke(coords)
+        tracemalloc.start()
+        try:
+            measure_and_prepare_dicke(coords)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5e6
 
     def test_rejects_non_symmetric(self):
         singlet = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)

@@ -29,7 +29,8 @@ def limit(name):
 
 
 # entry -> (call on one count k, the largest accepted k or None, whether the
-# sweep runs that largest k; it does not where the call would hold 268 MB or more)
+# sweep runs that largest k; it does not where the call would hold 268 MB or
+# more, or take a second or more)
 COUNT_ENTRIES = {
     "linalg.haar_random_pure_batch": (
         lambda k: linalg.haar_random_pure_batch(rng_from_seed(1), k), None, True),
@@ -56,7 +57,7 @@ COUNT_ENTRIES = {
     "cloner.certify_universality m_out": (
         lambda k: cloner.certify_universality(CloneChannel(1, k), 2, 4), limit("dicke"), True),
     "cloner.certify_universality samples": (
-        lambda k: cloner.certify_universality(CloneChannel(1, 2), k, 4), None, True),
+        lambda k: cloner.certify_universality(CloneChannel(1, 2), k, 4), limit("samples"), False),
     "estimator.sphere_quadrature": (estimator.sphere_quadrature, limit("dicke"), True),
     "estimator.povm_completeness_residual": (
         estimator.povm_completeness_residual, limit("dicke"), True),
@@ -140,6 +141,11 @@ def test_coordinate_shape_sweep(entry):
     hi = limit(name)
     for shape in [(), (3,), (2, 3), (3, 2), (1, 1), (0, 0), (2, 2, 3, 3), (hi + 2, hi + 2)]:
         assert _outcome(call, _coords(shape)) == "refused", (entry, shape)
+    for shape, index, bad in [((3, 3), (0, 0), math.nan), ((3, 3), (0, 1), math.inf),
+                              ((2, 3, 3), (1, 2, 1), complex(0, math.nan))]:
+        coords = np.array(_coords(shape), dtype=complex)
+        coords[index] = bad
+        assert _outcome(call, coords) == "refused", (entry, shape, bad)
     assert _outcome(call, _coords((2, 3, 3))) == ("ok" if batch else "refused"), entry
     assert _outcome(call, _coords((2, 2))) == "ok", entry
     if run_limit:
@@ -179,6 +185,8 @@ def test_partial_trace_refuses_fractional_qubit():
     (["verify-all", "--samples", str(limit("shots") // 200 + 1)],
      "samples must be at most 50000: Monte Carlo cells draw 200 shots per sample, "
      "at most 10000000"),
+    (["clone", "--n", "1", "--m", "2", "--samples", str(limit("samples") + 1)],
+     "need at least 2 samples and at most 1000000, got 1000001"),
 ])
 def test_cli_refuses_one_past_each_limit(capsys, argv, message):
     # the table carries the wording the CLI has always printed

@@ -8,6 +8,7 @@ import pytest
 from qclone import symspace
 from qclone.linalg import PSD_TOL, haar_random_pure, kron_power, rng_from_seed
 from qclone.symspace import (
+    _reduction,
     _support_pass,
     dicke_basis,
     embed_dicke,
@@ -267,6 +268,18 @@ class TestSupportPass:
     def test_symmetric_coords_rejects_outside_weight(self):
         with pytest.raises(ValueError):
             symmetric_coords(np.outer(SINGLET, SINGLET.conj()))
+
+
+class TestReduction:
+    def test_map_is_read_only(self):
+        # the cached band map is shared by every reduction of m qubits
+        t_diag, t_off = _reduction(7)
+        assert t_diag.shape == (8, 3) and t_off.shape == (7,)
+        assert _reduction(7)[0] is t_diag
+        for arr in (t_diag, t_off):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestDickeEmbedding:
