@@ -9,31 +9,31 @@ single-qubit reduction by N(M+2)/(M(N+2)) without rotating it; saturation
 of that optimum is verified by the test suite, not assumed here. Building a
 `CloneChannel` is the one check of M against the `dicke` limit.
 
-Both measurements work on Dicke coordinates, a complete description of a
-symmetric input, and form one output qubit only: the engine moves input entry
-(a, b) to (a+w, b+w), so that qubit reads only the input band (diagonal and
-superdiagonal) through the band map `_transfer(N, M)`: 2N+1 rows formed from
-the channel's factors (`_amplitudes`) weighted by the reduction's map
-`symspace._reduction(M)`, and cached (the module's only cache). The product
-`_output_qubit` is that map in the band kernel `symspace._band_qubit`, with
-the trace guard, on s inputs (s, N+1, N+1) per channel; the channel-free
-tail `_shrinking` forms Bloch vectors, shrinking factor and fidelity row by
-row, with its guards, on the joined rows of many channels
-(`_shrinking_pieces`). `certify_cells` (universality) draws Haar
-tensor powers per cell in chunks of s = max(1, BLOCK_ENTRIES // (N+1)²) and
-keeps running sums; a tail takes chunks while its rows stay within the chunk
-size of the channel that opened it, and runs before the next chunk is drawn,
-so memory does not grow with the sample count and no 2^N, 2^M or (M+1)×(M+1)
-operator is formed. `measure_chains` (concatenation, the paper's proof) runs
-N→M, N→L and M→L on each chain's stage-1 output, which the whole-output engine
-forms once per stage-1 channel: one product per (stage, channel), one tail.
+The channel moves input entry (a, b) to (a+w, b+w), so it maps the band of
+Dicke coordinates (diagonal and superdiagonal), all that one output qubit
+reads, to the band of the output. `_band_map(N, M)`, built uncached from the
+channel's factors (`_amplitudes`), is the channel on bands, and `_output_band`
+applies it with the trace guard. `_transfer(N, M)` is that map followed by the
+reduction's, `symspace._reduction(M)`: a band straight to one clone's qubit,
+and the module's only cache. The product `_output_qubit` is `_transfer` in the
+band kernel `symspace._band_qubit`, with the trace guard, on s input bands per
+channel; the channel-free tail `_shrinking` forms Bloch vectors, shrinking
+factor and fidelity row by row, with its guards, on the joined rows of many
+channels (`_shrinking_pieces`). `certify_cells` (universality) draws the bands
+of Haar tensor powers per cell in chunks of s = max(1, BLOCK_ENTRIES // (2N+1))
+samples and keeps running sums; a tail takes chunks while its rows stay within
+the chunk size of the channel that opened it, and runs before the next chunk is
+drawn, so memory does not grow with the sample count. `measure_chains`
+(concatenation, the paper's proof) runs N→M, N→L and M→L on each chain's
+stage-1 output band: one product per (stage, channel), one output band per
+stage-1 channel, one tail. Neither forms a 2^N, 2^M or whole Dicke operator.
 
 `apply_cloner_dicke` (M-N+1 shifted blocks from the same factors, nothing
-cached) gives whole outputs, with the trace guard (`_check_trace`, within
-1e-10) of `_output_qubit`; `apply_cloner` embeds them in the full space (M
-within `LIMITS["full_space"]`) as V·apply_cloner_dicke(V†ρV)·V†, V the Dicke
-isometry. The dense 2^M channel remains only as an independent oracle in the
-tests.
+cached) gives whole outputs, for the positivity check and the full-space
+adapter, with the trace guard (`_check_trace`, within 1e-10); `apply_cloner`
+embeds them in the full space (M within `LIMITS["full_space"]`) as
+V·apply_cloner_dicke(V†ρV)·V†, V the Dicke isometry. The dense 2^M channel
+remains only as an independent oracle in the tests.
 """
 from __future__ import annotations
 
@@ -54,16 +54,9 @@ from .linalg import (
     pure_fidelity,
     rng_from_seed,
 )
-from .symspace import (
-    BLOCK_ENTRIES,
-    _band_qubit,
-    _dicke_coords,
-    _reduction,
-    embed_dicke,
-    reduced_qubit_from_dicke,
-    symmetric_coords,
-    tensor_power_dicke,
-)
+from .symspace import (BLOCK_ENTRIES, _apply_band, _band, _band_qubit, _dicke_coords, _frozen,
+                       _pure_band, _reduction, embed_dicke, reduced_qubit_from_dicke,
+                       symmetric_coords, tensor_power_dicke)
 
 MIN_BLOCH_LENGTH = 1e-6
 
@@ -113,21 +106,24 @@ def _amplitudes(n, m):
     return cw[:, None] * amp, amp
 
 
+def _band_map(n, m):
+    """The channel as a band map (d (N+1, M+1), u (N, M)), uncached: input entry (a, b)
+    goes to (a+w, b+w) with k[w, a, b] = (C(M-N,w) amp[w,a]) amp[w,b] (`_amplitudes`),
+    so d[a, a+w] = k[w, a, a] and u[a, a+w] = k[w, a, a+1], each times (N+1)/(M+1)."""
+    left, amp = _amplitudes(n, m)
+    a, w = np.arange(n + 1), np.arange(m - n + 1)[:, None]
+    d, u = np.zeros((n + 1, m + 1)), np.zeros((n, m))
+    d[a, a + w] = left * amp
+    u[a[:-1], a[:-1] + w] = left[:, :-1] * amp[:, 1:]
+    scale = (n + 1) / (m + 1)
+    return d * scale, u * scale
+
+
 @lru_cache(maxsize=None)
 def _transfer(n, m):
-    """Read-only band map to one clone's qubit: t_diag (N+1, 3) takes the input
-    diagonal to (p00, p11, trace), t_off (N,) the superdiagonal to p01. Only
-    the coefficients k[w, a, a] and k[w, a, a+1] of `_amplitudes` enter
-    (entry (a, b) goes to (a+w, b+w)), weighted by row j = a+w of the
-    reduction's map `_reduction(M)`, so no (M-N+1)(N+1)² table is formed."""
-    left, amp = _amplitudes(n, m)
-    red_diag, red_off = _reduction(m)
-    j = np.arange(m - n + 1)[:, None] + np.arange(n + 1)  # (w, a) -> a + w
-    scale = (n + 1) / (m + 1)
-    t_diag = scale * np.sum((left * amp)[..., None] * red_diag[j], axis=0)
-    t_off = scale * np.sum(left[:, :-1] * amp[:, 1:] * red_off[j[:, :-1]], axis=0)
-    t_diag.flags.writeable = t_off.flags.writeable = False
-    return t_diag, t_off
+    """Read-only band map to one clone's qubit, (N+1, 2) and (N, 1): the channel's
+    band map followed by the reduction's, `symspace._reduction(M)`."""
+    return tuple(_frozen(t) for t in _apply_band(_band_map(n, m), _reduction(m)))
 
 
 def apply_cloner_dicke(ch, coords_n):
@@ -177,15 +173,23 @@ def measure_shrinking(ch, rho_n):
 def measure_shrinking_dicke(ch, coords):
     """Shrinking factor and direction-state fidelity of each input of the batch
     `coords` (s, N+1, N+1), or of one input (N+1, N+1): product, then tail."""
-    return _shrinking(reduced_qubit_from_dicke(coords), _output_qubit(ch, coords))
+    return _shrinking(reduced_qubit_from_dicke(coords), _output_qubit(ch, _band(coords)))
 
 
-def _output_qubit(ch, coords):
-    """One clone's qubit (..., 2, 2) of each input (..., N+1, N+1), through
-    `_transfer`, with the trace guard of `apply_cloner_dicke`."""
-    qubit, trace = _band_qubit(coords, *_transfer(ch.n_in, ch.m_out))
-    _check_trace(trace, np.trace(coords, axis1=-2, axis2=-1))
+def _output_qubit(ch, band):
+    """One clone's qubit (..., 2, 2) of each input band, through `_transfer`, with
+    the trace guard of `apply_cloner_dicke` on its diagonal."""
+    qubit = _band_qubit(band, _transfer(ch.n_in, ch.m_out))
+    _check_trace(qubit[..., 0, 0] + qubit[..., 1, 1], band[0].sum(axis=-1))
     return qubit
+
+
+def _output_band(ch, band):
+    """The output band (..., M+1), (..., M) of each input band (..., N+1), (..., N)
+    through `_band_map`, with the trace guard of `apply_cloner_dicke`."""
+    out = _apply_band(band, _band_map(ch.n_in, ch.m_out))
+    _check_trace(out[0].sum(axis=-1), band[0].sum(axis=-1))
+    return out
 
 
 def _shrinking(q_in, q_out):
@@ -229,17 +233,16 @@ def _direction_state(s):
 
 
 def _chunk_size(ch):
-    """Samples per certification batch: the input coordinates of a batch,
-    the only per-sample arrays held, stay within BLOCK_ENTRIES complex
-    entries (M does not enter: each output is one qubit)."""
-    return max(1, BLOCK_ENTRIES // (ch.n_in + 1) ** 2)
+    """Samples per certification batch: the input bands of a batch, 2N+1 entries
+    a sample and the only per-sample arrays held, stay within BLOCK_ENTRIES
+    complex entries (M does not enter: each output is one qubit)."""
+    return max(1, BLOCK_ENTRIES // (2 * ch.n_in + 1))
 
 
 def _haar_tensor_powers(rng, count, n):
-    """Dicke coordinates (count, n+1, n+1) of |psi><psi|^⊗n for count
-    Haar-random psi, the same draws as count calls of haar_random_pure."""
-    c = tensor_power_dicke(haar_random_pure_batch(rng, count), n)
-    return c[:, :, None] * c[:, None, :].conj()
+    """Bands (count, n+1), (count, n) of |psi><psi|^⊗n for count Haar-random
+    psi, the same draws as count calls of haar_random_pure."""
+    return _pure_band(tensor_power_dicke(haar_random_pure_batch(rng, count), n))
 
 
 def certify_universality(ch, n_samples, seed):
@@ -272,8 +275,9 @@ def certify_cells(cells, n_samples):
                 run_tail()
                 room = chunk
             room -= k
-            coords = _haar_tensor_powers(rng, k, ch.n_in)
-            pending.append((i, reduced_qubit_from_dicke(coords), _output_qubit(ch, coords)))
+            band = _haar_tensor_powers(rng, k, ch.n_in)
+            pending.append((i, _band_qubit(band, _reduction(ch.n_in)), _output_qubit(ch, band)))
+            del band   # not held while the next chunk is drawn
     run_tail()
     return [CloneReport(ch.n_in, ch.m_out, float(eta_sum / n_samples), float(fid_sum / n_samples),
                         float(eta_max - eta_min))
@@ -284,35 +288,33 @@ def measure_inputs(inputs):
     """(q_in, etas, fids) of inputs (channel, coords (N+1)x(N+1)) of any sizes: each
     input's reduced qubit, its output qubit through its own channel, one tail for all."""
     q_in = np.array([reduced_qubit_from_dicke(coords) for _, coords in inputs])
-    return (q_in, *_shrinking(q_in, np.array([_output_qubit(ch, c) for ch, c in inputs])))
+    return (q_in, *_shrinking(q_in, np.array([_output_qubit(ch, _band(c)) for ch, c in inputs])))
 
 
 def measure_chains(chains):
     """Stage-1 (N→M), direct (N→L) and stage-2 (M→L on the stage-1 output) shrinking
     factors of each chain (n, m, l, seed), for |psi><psi|^⊗n with psi the Haar state of
-    `seed`: one input batch per n, one product per (stage, channel), the engine once per
+    `seed`: one input batch per n, one product per (stage, channel), one output band per
     stage-1 channel, one tail. Every channel is built, so checked, before any draw."""
     keys = dict.fromkeys(key for n, m, l, _ in chains for key in ((n, m), (m, l), (n, l)))
     # malformed keys are built first: a bad order is refused before a channel past the limit
     channels = {key: CloneChannel(*key) for key in sorted(keys, key=lambda k: 1 <= k[0] <= k[1])}
-    inputs, mids, pieces = {}, {}, []   # chain index -> (coordinates, qubit): input, stage-1 output
+    inputs, mids, pieces = {}, {}, []   # chain index -> (diagonal, superdiagonal, qubit)
     for n in dict.fromkeys(c[0] for c in chains):
         idx = [i for i, c in enumerate(chains) if c[0] == n]
         psi = np.array([haar_random_pure(rng_from_seed(chains[i][3])) for i in idx])
-        v = tensor_power_dicke(psi, n)
-        coords = v[:, :, None] * v[:, None, :].conj()
-        inputs.update(zip(idx, zip(coords, reduced_qubit_from_dicke(coords))))
+        band = _pure_band(tensor_power_dicke(psi, n))
+        inputs.update(zip(idx, zip(*band, _band_qubit(band, _reduction(n)))))
     for stage, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):   # stage 1, direct, stage 2
         groups, source = {}, mids if a else inputs
         for i, c in enumerate(chains):
             groups.setdefault((c[a], c[b]), []).append(i)
         for key, idx in groups.items():
-            batch = np.stack([source[i][0] for i in idx])
-            pieces.append(((stage, idx), np.stack([source[i][1] for i in idx]),
-                           _output_qubit(channels[key], batch)))
-            if b == 1:   # stage 2 runs on the stage-1 outputs
-                out = apply_cloner_dicke(channels[key], batch)
-                mids.update(zip(idx, zip(out, reduced_qubit_from_dicke(out))))
+            diag, off, q_in = (np.stack(x) for x in zip(*(source[i] for i in idx)))
+            pieces.append(((stage, idx), q_in, _output_qubit(channels[key], (diag, off))))
+            if b == 1:   # stage 2 runs on the stage-1 output bands
+                out = _output_band(channels[key], (diag, off))
+                mids.update(zip(idx, zip(*out, _band_qubit(out, _reduction(key[1])))))
     etas = np.empty((3, len(chains)))
     for (stage, idx), eta, _ in _shrinking_pieces(pieces):
         etas[stage, idx] = eta

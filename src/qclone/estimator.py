@@ -10,8 +10,9 @@ cos(theta) (`_polar_rule`) times a uniform grid in azimuth integrates them
 exactly; no sampling error enters the exact path. The azimuth sum is exact
 in closed form, so `measure_and_prepare_dicke` is the band kernel
 `symspace._band_qubit` with a map summed over the polar nodes alone
-(`_estimation_map`); exact estimation applies it to |psi><psi|^⊗M and
-reads F = <psi|rho_bar|psi>.
+(`_estimation_map`). Exact estimation applies it to the band of |psi><psi|^⊗M
+and reads F = <psi|rho_bar|psi>; Statement B to the M→L cloner's output band
+(`cloner._output_band`), so no whole output is formed.
 
 The Monte Carlo path draws outcomes exactly instead: under the Haar measure
 the overlap u = |<phi|psi>|^2 is uniform on [0, 1] and the azimuth of phi
@@ -48,9 +49,9 @@ from .linalg import (
     pure_fidelity,
     rng_from_seed,
 )
-from .symspace import (BLOCK_ENTRIES, _band_qubit, _dicke_coords, _frozen, symmetric_coords,
-                       tensor_power_dicke)
-from .cloner import CloneChannel, apply_cloner_dicke
+from .symspace import (BLOCK_ENTRIES, _band, _band_qubit, _dicke_coords, _frozen, _pure_band,
+                       symmetric_coords, tensor_power_dicke)
+from .cloner import CloneChannel, _output_band
 
 _PHASE_STEPS = 256    # e^(2 pi i x) = _PHASES[j] e^(i theta), j = floor(256 x)
 _PHASES = np.exp(2j * np.pi * np.arange(_PHASE_STEPS) / _PHASE_STEPS)   # 4 KiB
@@ -98,18 +99,16 @@ def sphere_quadrature(m):
 
 @lru_cache(maxsize=None)
 def _estimation_map(m):
-    """Read-only band map of measure-and-prepare on M copies. The 2m+5
-    azimuths of `sphere_quadrature` average e^(i(l-k-d)phi), d = 0, 1, to [l = k+d]
-    exactly, so only the polar nodes (c_j, s_j) with weights w_j remain; with
-    v_j the Dicke coefficients of (c_j, s_j)^⊗M, t_diag[k] = (M+1) Σ_j w_j
-    v_jk² (c_j², s_j², 1), whose trace column is the completeness diagonal,
-    and t_off[k] = (M+1) Σ_j w_j v_jk v_j,k+1 c_j s_j."""
+    """Read-only band map of measure-and-prepare on M copies to one qubit. The
+    2m+5 azimuths of `sphere_quadrature` average e^(i(l-k-d)phi), d = 0, 1, to
+    [l = k+d] exactly, so only the polar nodes (c_j, s_j) with weights w_j remain;
+    with v_j the Dicke coefficients of (c_j, s_j)^⊗M, d[k] = (M+1) Σ_j w_j v_jk²
+    (c_j², s_j²) and u[k] = (M+1) Σ_j w_j v_jk v_j,k+1 c_j s_j."""
     c, s, w = _polar_rule(m)
     vecs = tensor_power_dicke(np.stack((c, s), axis=-1), m).real   # (nodes, M+1)
-    outputs = np.stack((c * c, s * s, np.ones_like(c)), axis=-1)    # (p00, p11, trace) per node
-    t_diag = (m + 1) * ((w[:, None] * vecs * vecs).T @ outputs)
-    t_off = (m + 1) * ((w * c * s) @ (vecs[:, :-1] * vecs[:, 1:]))
-    return _frozen(t_diag), _frozen(t_off)
+    d = (m + 1) * ((w[:, None] * vecs * vecs).T @ np.stack((c * c, s * s), axis=-1))
+    u = (m + 1) * ((w * c * s) @ (vecs[:, :-1] * vecs[:, 1:]))
+    return _frozen(d), _frozen(u[:, None])
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -134,18 +133,17 @@ def povm_completeness_residual(m):
 
 def estimation_fidelity_exact(m, psi):
     """Exact-quadrature estimation fidelity for M copies of the pure state
-    psi: `measure_and_prepare_dicke` on |psi><psi|^⊗M, F = <psi|rho_bar|psi>."""
+    psi: measure-and-prepare on the band of |psi><psi|^⊗M, F = <psi|rho_bar|psi>."""
     m = _integer_in(m, 1, "copies")
     psi = _unit_qubit(psi)
-    v = tensor_power_dicke(psi, m)
-    rho_bar = measure_and_prepare_dicke(np.outer(v, v.conj()))
+    rho_bar = hermitize(_band_qubit(_pure_band(tensor_power_dicke(psi, m)), _estimation_map(m)))
     fid = pure_fidelity(psi, rho_bar)
     return EstimationReport(m, fid, 2 * fid - 1, rho_bar, len(sphere_quadrature(m)[1]), 0.0)
 
 
 def _unit_qubit(psi):
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (2,) or abs(np.linalg.norm(psi) - 1) > PHYS_TOL:
+    if psi.shape != (2,) or not abs(np.linalg.norm(psi) - 1) <= PHYS_TOL:   # NaN fails
         raise ValueError(f"psi must be a unit 2-vector, got {psi}")
     return psi
 
@@ -255,7 +253,7 @@ def measure_and_prepare_dicke(coords):
     of an M-copy input: the band map `_estimation_map(M)` on the input's
     diagonal and superdiagonal."""
     coords, m = _dicke_coords(coords, "dicke")
-    return hermitize(_band_qubit(coords, *_estimation_map(m))[0])
+    return hermitize(_band_qubit(_band(coords), _estimation_map(m)))
 
 
 def verify_statement_b(m, l, psi=None):
@@ -265,7 +263,6 @@ def verify_statement_b(m, l, psi=None):
     to fidelity_meas_opt(M) for every L within LIMITS["dicke"] (`qclone.bounds`)."""
     ch = CloneChannel(m, l)
     psi = _unit_qubit([1, 0] if psi is None else psi)
-    v = tensor_power_dicke(psi, m)
-    rho_bar = measure_and_prepare_dicke(apply_cloner_dicke(ch, np.outer(v, v.conj())))
-    return pure_fidelity(psi, rho_bar)
+    out = _output_band(ch, _pure_band(tensor_power_dicke(psi, m)))
+    return pure_fidelity(psi, hermitize(_band_qubit(out, _estimation_map(l))))
 

@@ -51,8 +51,8 @@ LIMITS = {
     # Monte Carlo shots, streamed, so a time limit: 0.26 to 0.33 s in 36 MB
     # max RSS, with a 0.92 MB tracemalloc peak.
     "shots": (10 ** 7, "n_shots must be in {lo}..{hi}, got {value}"),
-    # certification samples, streamed, so a time limit: 1.0 s at (N, M) = (1, 2),
-    # 1.7 s at (6, 60) and 37 s at (60, 60), each within 40 MB max RSS.
+    # certification samples, streamed, so a time limit: 0.9 s at (N, M) = (1, 2),
+    # 1.4 s at (6, 60) and 8.5 to 9.9 s at (60, 60), each within 41 MB max RSS.
     "samples": (10 ** 6, "need at least {lo} samples and at most {hi}, got {value}"),
 }
 

@@ -16,10 +16,12 @@ tol; for a C-contiguous complex128 ρ it allocates no 2^n x 2^n temporary.
 
 One qubit of a symmetric state, or of the output of a channel that commutes
 with rotations about z, reads only the diagonal and superdiagonal (the
-"band") of its Dicke coordinates. `_band_qubit` alone turns a band into a
-qubit, through a cached read-only band map: `_reduction` (the reduction),
-`cloner._transfer` (one clone) or `estimator._estimation_map`
-(measure-and-prepare).
+"band") of its Dicke coordinates, and such a channel maps bands to bands, so
+the band is what passes between stages. Only `_band` (of coordinates) and
+`_pure_band` (of a tensor power) read one. `_apply_band` applies a band map,
+and composes two; `_band_qubit` is that call with a one-qubit target, through
+a cached read-only map: `_reduction` (the reduction), `cloner._transfer` (one
+clone) or `estimator._estimation_map` (measure-and-prepare).
 
 `pseudo_mixture_decompose` writes any symmetric density operator as a
 signed combination of identical tensor-power pure projectors with weights
@@ -175,31 +177,45 @@ def tensor_power_dicke(psi, n):
     return binom * psi[..., :1] ** (n - ks) * psi[..., 1:] ** ks
 
 
+def _band(coords):
+    """The band (diagonal (..., n+1), superdiagonal (..., n)) of coordinates (..., n+1, n+1)."""
+    return np.diagonal(coords, axis1=-2, axis2=-1), np.diagonal(coords, 1, axis1=-2, axis2=-1)
+
+
+def _pure_band(vecs):
+    """The band of |v><v| for Dicke coefficients v (..., n+1), by the same float
+    operations as the entries of the outer product."""
+    return vecs * vecs.conj(), vecs[..., :-1] * vecs[..., 1:].conj()
+
+
+def _apply_band(band, band_map):
+    """A band map (d (n+1, k+1), u (n, k)) on bands (..., n+1), (..., n), with per-row sums,
+    so each row of a batch equals its batch of one bit for bit. A map is a batch of
+    bands, so `_apply_band(map_1, map_2)` is map_1 followed by map_2."""
+    return tuple(np.sum(x[..., None] * t, axis=-2) for x, t in zip(band, band_map))
+
+
 @lru_cache(maxsize=None)
 def _reduction(m):
-    """Read-only band map of the reduction of m qubits: diagonal entry k weighs
-    ((m-k)/m, k/m, 1) in (p00, p11, trace), superdiagonal entry k sqrt((k+1)(m-k))/m in p01."""
+    """Read-only band map of the reduction of m qubits to one: diagonal entry k
+    weighs ((m-k)/m, k/m) in (p00, p11), superdiagonal entry k sqrt((k+1)(m-k))/m in p01."""
     k = np.arange(m + 1)
-    t_diag = np.stack(((m - k) / m, k / m, np.ones(m + 1)), axis=-1)
-    return _frozen(t_diag), _frozen(np.sqrt((k[:-1] + 1) * (m - k[:-1])) / m)
+    d = np.stack(((m - k) / m, k / m), axis=-1)
+    return _frozen(d), _frozen(np.sqrt((k[:-1] + 1) * (m - k[:-1]))[:, None] / m)
 
 
-def _band_qubit(coords, t_diag, t_off):
-    """(qubit (..., 2, 2), trace (...)) of coordinates (..., n+1, n+1) under a
-    band map: the diagonal through t_diag (n+1, 3) to (p00, p11, trace), the
-    superdiagonal through t_off (n,) to p01. Sums run per row, so each row of
-    a batch equals its batch of one bit for bit."""
-    band = np.sum(np.diagonal(coords, axis1=-2, axis2=-1)[..., None] * t_diag, axis=-2)
-    p01 = np.sum(np.diagonal(coords, 1, axis1=-2, axis2=-1) * t_off, axis=-1)
-    qubit = np.stack((band[..., 0], p01, p01.conj(), band[..., 1]), axis=-1)
-    return qubit.reshape(p01.shape + (2, 2)), band[..., 2]
+def _band_qubit(band, band_map):
+    """The qubits (..., 2, 2) of bands under a band map to one qubit."""
+    diag, off = _apply_band(band, band_map)
+    qubit = np.stack((diag[..., 0], off[..., 0], off[..., 0].conj(), diag[..., 1]), axis=-1)
+    return qubit.reshape(off.shape[:-1] + (2, 2))
 
 
 def reduced_qubit_from_dicke(coords):
     """Single-qubit reduction of a symmetric m-qubit state in Dicke coords;
     a leading axis is a batch, (s, m+1, m+1) -> (s, 2, 2)."""
     coords, m = _dicke_coords(coords, "dicke", batch=True)
-    return _band_qubit(coords, *_reduction(m))[0]
+    return _band_qubit(_band(coords), _reduction(m))
 
 
 @dataclass(frozen=True)
@@ -220,16 +236,16 @@ class PseudoMixture:
         return (self.weights * vecs.T) @ vecs.conj()
 
 
-def pseudo_mixture_decompose(rho_n, tol=PHYS_TOL):
+def pseudo_mixture_decompose(rho_n):
     """Decompose a symmetric-support density operator over the fixed frame.
 
-    The residual is asserted below `tol` and the weight sum below 1e-10 of
+    The residual is asserted below PHYS_TOL and the weight sum below 1e-10 of
     unity.
     """
-    return pseudo_mixture_decompose_dicke(symmetric_coords(rho_n), tol)
+    return pseudo_mixture_decompose_dicke(symmetric_coords(rho_n))
 
 
-def pseudo_mixture_decompose_dicke(target, tol=PHYS_TOL):
+def pseudo_mixture_decompose_dicke(target):
     """`pseudo_mixture_decompose` on Dicke coordinates.
 
     The frame is P_i = |phi_i><phi_i|^⊗n at the nodes phi_i, weights q_i of
@@ -251,8 +267,8 @@ def pseudo_mixture_decompose_dicke(target, tol=PHYS_TOL):
     weights += q * (projs.conj() @ np.linalg.solve(frame_op, b - weights @ projs)).real
     recon = (weights @ projs).reshape(target.shape)
     residual = float(np.max(np.abs(recon - target)))
-    if residual >= tol:
-        raise RuntimeError(f"frame reconstruction residual {residual:.3e} >= {tol:.0e}")
+    if not residual < PHYS_TOL:   # a NaN residual fails too
+        raise RuntimeError(f"frame reconstruction residual {residual:.3e} >= {PHYS_TOL:.0e}")
     total = float(weights.sum())
     if abs(total - 1) > 1e-10:
         raise RuntimeError(f"pseudo-mixture weights sum to {total}, expected 1")

@@ -1,5 +1,6 @@
 import ast
 import json
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +13,7 @@ from qclone.cli import build_parser, main, run_concat
 from qclone.cloner import (CloneChannel, apply_cloner, apply_cloner_dicke,
                            measure_shrinking_dicke, tensor_power_input)
 from qclone.linalg import LIMITS, haar_random_pure, min_eigenvalue, partial_trace, rng_from_seed
-from qclone.symspace import _support_pass, tensor_power_dicke
+from qclone.symspace import _band, _band_qubit, _reduction, _support_pass, tensor_power_dicke
 
 
 def run_cli(capsys, *argv):
@@ -106,12 +107,15 @@ class TestConcatCommand:
 
 def single_input_etas(n, m, l, seed):
     """Stage-1, stage-2 and direct shrinking factors of one chain, one
-    single-input core call each: the reference for the batched runner."""
+    single-input core call each, stage 2 on the stage-1 output band: the
+    reference for the batched runner."""
     v = tensor_power_dicke(haar_random_pure(rng_from_seed(seed)), n)
     coords = np.outer(v, v.conj())
     first = CloneChannel(n, m)
-    return (float(measure_shrinking_dicke(first, coords)[0]),
-            float(measure_shrinking_dicke(CloneChannel(m, l), apply_cloner_dicke(first, coords))[0]),
+    mid = cloner._output_band(first, _band(coords))
+    second = cloner._shrinking(_band_qubit(mid, _reduction(m)),
+                               cloner._output_qubit(CloneChannel(m, l), mid))
+    return (float(measure_shrinking_dicke(first, coords)[0]), float(second[0]),
             float(measure_shrinking_dicke(CloneChannel(n, l), coords)[0]))
 
 
@@ -141,29 +145,31 @@ class TestConcatBatch:
         # products: the 26 clone cells (one chunk each), 26 stage-1 groups (n, m),
         # 26 direct groups (n, l) and 36 stage-2 groups (m, l), then the three
         # mixed-input cells; tails: one each for the clone, concat and mixed rows;
-        # reductions: 26 cell chunks, 4 input batches, 26 stage-1 outputs, 3 mixed
-        # inputs and 3 draws of random_symmetric_dicke; engine calls: 26 stage-1
-        # groups (cloner), 26 sanity cells (cli) and 11 statement-B rows (estimator)
+        # reductions (band kernel calls with a reduction's map): 26 cell chunks,
+        # 4 input batches, 26 stage-1 output bands, 3 mixed inputs and 3 draws of
+        # random_symmetric_dicke; engine calls: only the 26 sanity cells (cli), as
+        # stage 2 and statement B read output bands
         products, tails, reductions, engine = [], [], [], []
         output_qubit, shrinking = cloner._output_qubit, cloner._shrinking
-        reduced, apply_dicke = symspace.reduced_qubit_from_dicke, cloner.apply_cloner_dicke
+        band_qubit, apply_dicke = symspace._band_qubit, cloner.apply_cloner_dicke
 
-        def product(ch, coords):
-            products.append(((ch.n_in, ch.m_out), len(coords) if np.ndim(coords) == 3 else None))
-            return output_qubit(ch, coords)
+        def product(ch, band):
+            products.append(((ch.n_in, ch.m_out), len(band[0]) if band[0].ndim == 2 else None))
+            return output_qubit(ch, band)
 
         def tail(q_in, q_out):
             tails.append(len(q_in))
             return shrinking(q_in, q_out)
 
-        def reduction(coords):
-            reductions.append(None)
-            return reduced(coords)
+        def kernel(band, band_map):
+            if band_map is symspace._reduction(len(band_map[0]) - 1):
+                reductions.append(None)
+            return band_qubit(band, band_map)
 
         monkeypatch.setattr(cloner, "_output_qubit", product)
         monkeypatch.setattr(cloner, "_shrinking", tail)
         for module in (cloner, symspace):
-            monkeypatch.setattr(module, "reduced_qubit_from_dicke", reduction)
+            monkeypatch.setattr(module, "_band_qubit", kernel)
 
         def engine_call(caller):
             def call(ch, coords):
@@ -171,7 +177,7 @@ class TestConcatBatch:
                 return apply_dicke(ch, coords)
             return call
 
-        for module in (cloner, cli, estimator):
+        for module in (cloner, cli):
             monkeypatch.setattr(module, "apply_cloner_dicke", engine_call(module.__name__))
         samples = 3
         cli.run_verify_all(1, samples, 1e-9)
@@ -185,7 +191,25 @@ class TestConcatBatch:
         assert tails == [26 * samples, 300, 3]
         assert len(reductions) == 62
         assert [engine.count(f"qclone.{name}") for name in ("cloner", "cli", "estimator")] == \
-            [26, 26, 11]
+            [0, 26, 0]
+
+    def test_band_paths_never_call_the_engine(self, monkeypatch):
+        # concatenation's stage 2 and statement B read output bands: no module's
+        # whole-output engine runs, under any name it is bound to
+        def engine(*args):
+            raise AssertionError("a band path formed a whole output")
+
+        for name, module in list(sys.modules.items()):
+            if (name == "qclone" or name.startswith("qclone.")) and \
+                    hasattr(module, "apply_cloner_dicke"):
+                monkeypatch.setattr(module, "apply_cloner_dicke", engine)
+        chains = cli.concat_chains(1) + [(4, 20, 60, 1), (60, 60, 60, 3)]
+        for (n, m, l, _), (e1, direct, e2) in zip(chains, cloner.measure_chains(chains)):
+            assert abs(e1 * e2 - float(bounds.eta_opt(n, l))) < 1e-9
+            assert abs(direct - float(bounds.eta_opt(n, l))) < 1e-9
+        for m, l in [(1, 3), (2, 6), (5, 40), (60, 60)]:
+            composed = estimator.verify_statement_b(m, l, haar_random_pure(rng_from_seed(m + l)))
+            assert abs(composed - float(bounds.fidelity_meas_opt(m))) < 1e-8
 
     def test_concat_builds_one_channel_per_key(self, monkeypatch):
         built = []

@@ -82,6 +82,29 @@ def loop_dicke_cloner(n, m, coords_n):
     return out * (n + 1) / (m + 1)
 
 
+def matrix_units(n):
+    """The 2N+1 units E_aa, then E_{a,a+1}, as a batch (2N+1, N+1, N+1)."""
+    units = np.zeros((2 * n + 1, n + 1, n + 1), dtype=complex)
+    a = np.arange(n + 1)
+    units[a, a, a] = 1
+    units[n + 1 + a[:-1], a[:-1], a[:-1] + 1] = 1
+    return units
+
+
+def certification_peaks(ch, sample_counts):
+    """Warm tracemalloc peak of `certify_universality` at each sample count."""
+    certify_universality(ch, 2, seed=3)   # fill the map cache outside the measurement
+    peaks = []
+    for samples in sample_counts:
+        tracemalloc.start()
+        try:
+            certify_universality(ch, samples, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
 def loop_measure(ch, coords):
     """Reference certification of one input, given as Dicke coordinates:
     (shrinking factor, direction-state fidelity)."""
@@ -244,15 +267,18 @@ class TestDickePath:
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 7), (6, 60)])
     def test_output_qubit_batch_matches_single_inputs(self, n, m):
-        # the band kernel sums per row, so a batch row is its batch of one
+        # band maps sum per row, so a batch row is its batch of one
         rng = rng_from_seed(960 + n + m)
         g = rng.standard_normal((5, n + 1, n + 1)) + 1j * rng.standard_normal((5, n + 1, n + 1))
         coords = g @ g.conj().swapaxes(1, 2)
         ch = CloneChannel(n, m)
-        qubits = cloner._output_qubit(ch, coords)
-        assert qubits.shape == (5, 2, 2)
+        qubits = cloner._output_qubit(ch, symspace._band(coords))
+        diag, off = cloner._output_band(ch, symspace._band(coords))
+        assert qubits.shape == (5, 2, 2) and diag.shape == (5, m + 1) and off.shape == (5, m)
         for i in range(5):
-            assert np.array_equal(qubits[i], cloner._output_qubit(ch, coords[i]))
+            assert np.array_equal(qubits[i], cloner._output_qubit(ch, symspace._band(coords[i])))
+            one_diag, one_off = cloner._output_band(ch, symspace._band(coords[i]))
+            assert np.array_equal(diag[i], one_diag) and np.array_equal(off[i], one_off)
 
     def test_rejects_non_finite_coordinates(self):
         # a NaN or an infinity is refused, not measured as a NaN shrinking factor
@@ -276,7 +302,7 @@ class TestDickePath:
     def test_table_is_read_only(self):
         # the cached transfer map is shared by every caller of a cell
         t_diag, t_off = _transfer(3, 10)
-        assert t_diag.shape == (4, 3) and t_off.shape == (3,)
+        assert t_diag.shape == (4, 2) and t_off.shape == (3, 1)
         for arr in (t_diag, t_off):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -430,7 +456,7 @@ class TestUniversality:
     def test_matches_loop_oracle(self, n, m, samples, chunk, monkeypatch):
         # sample counts that cross several chunk boundaries, and single chunks;
         # the block is shrunk so that small sample counts span several chunks
-        monkeypatch.setattr(cloner, "BLOCK_ENTRIES", chunk * (n + 1) ** 2)
+        monkeypatch.setattr(cloner, "BLOCK_ENTRIES", chunk * (2 * n + 1))
         ch = CloneChannel(n, m)
         assert _chunk_size(ch) == chunk
         rep = certify_universality(ch, samples, seed=21)
@@ -457,33 +483,33 @@ class TestUniversality:
 
     def test_memory_does_not_grow_with_samples(self):
         ch = CloneChannel(6, 60)
-        certify_universality(ch, 2, seed=3)   # fill the map cache outside the measurement
-        assert _chunk_size(ch) < 1500
-        peaks = []
-        for samples in (1500, 15000):         # both span more than one chunk
-            tracemalloc.start()
-            try:
-                certify_universality(ch, samples, seed=3)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        assert _chunk_size(ch) < 5670
+        peaks = certification_peaks(ch, (5670, 56700))   # both span more than two chunks
+        assert peaks[1] <= peaks[0] * 1.01
+
+    def test_memory_is_one_chunk_at_the_dicke_edge(self):
+        # a chunk's bands are released before the next chunk is drawn, so ten
+        # chunks peak where one does
+        ch = CloneChannel(60, 60)
+        peaks = certification_peaks(ch, (_chunk_size(ch), 10 * _chunk_size(ch)))
         assert peaks[1] <= peaks[0] * 1.01
 
 
 class TestCertifyCells:
-    CELLS = [(CloneChannel(1, 3), 5), (CloneChannel(6, 60), 6), (CloneChannel(4, 8), 7)]
+    CELLS = [(CloneChannel(2, 3), 5), (CloneChannel(6, 60), 6), (CloneChannel(4, 8), 7)]
 
     @pytest.mark.parametrize("samples", [9000, 700, 50])
     def test_each_report_is_its_own_certification(self, samples):
-        # mixed N, with sample counts that cross the chunks of (1, 3) (8192)
-        # and (6, 60) (668), and counts whose chunks share one tail
+        # mixed N, with sample counts that cross the chunks of (2, 3) (6553),
+        # (6, 60) (2520) and (4, 8) (3640), and counts whose chunks share one tail
         reports = cloner.certify_cells(self.CELLS, samples)
         assert reports == [certify_universality(ch, samples, seed) for ch, seed in self.CELLS]
 
     def test_tail_stays_within_the_chunk_that_opened_it(self, monkeypatch):
-        # one (6, 60) chunk cannot join the 668 rows its own chunk opened, and a
-        # due tail runs before the next chunk is drawn: each tail holds exactly
-        # the rows drawn since the one before it
+        # the first (6, 60) chunk joins the tail that (2, 3) opened, the next cannot
+        # join the 2520 rows its own chunk opened, and a due tail runs before the
+        # next chunk is drawn: each tail holds exactly the rows drawn since the one
+        # before it
         tails, drawn, shrinking, draw = [], [0], cloner._shrinking, cloner._haar_tensor_powers
 
         def tail(q_in, q_out):
@@ -498,7 +524,7 @@ class TestCertifyCells:
         monkeypatch.setattr(cloner, "_shrinking", tail)
         monkeypatch.setattr(cloner, "_haar_tensor_powers", counting_draw)
         cloner.certify_cells(self.CELLS, 9000)
-        sizes = [8192, 808 + 11 * 668, 668, 668, 316] + [1310] * 6 + [1140]
+        sizes = [6553, 2447 + 2520, 2520, 2520, 1440, 3640, 3640, 1720]
         assert tails == [(size, size) for size in sizes]
 
     def test_refuses_before_drawing(self, monkeypatch):
@@ -540,38 +566,56 @@ class TestTransfer:
         # the whole-output engine stays the reference: its reduction and trace
         # on the 2N+1 units E_aa and E_{a,a+1}
         t_diag, t_off = _transfer(n, m)
-        assert t_diag.shape == (n + 1, 3) and t_off.shape == (n,)
-        units = np.zeros((2 * n + 1, n + 1, n + 1), dtype=complex)
-        a = np.arange(n + 1)
-        units[a, a, a] = 1
-        units[n + 1 + a[:-1], a[:-1], a[:-1] + 1] = 1
+        assert t_diag.shape == (n + 1, 2) and t_off.shape == (n, 1)
+        units = matrix_units(n)
         out = apply_cloner_dicke(CloneChannel(n, m), units)
         reduced = reduced_qubit_from_dicke(out)
         trace = np.trace(out, axis1=-2, axis2=-1)
         assert np.max(np.abs(reduced[:n + 1, 0, 0] - t_diag[:, 0])) <= 1e-15
         assert np.max(np.abs(reduced[:n + 1, 1, 1] - t_diag[:, 1])) <= 1e-15
-        assert np.max(np.abs(trace[:n + 1] - t_diag[:, 2])) <= 1e-15
-        assert np.max(np.abs(reduced[n + 1:, 0, 1] - t_off)) <= 1e-15
+        assert np.max(np.abs(trace[:n + 1] - t_diag.sum(axis=-1))) <= 1e-15
+        assert np.max(np.abs(reduced[n + 1:, 0, 1] - t_off[:, 0])) <= 1e-15
         # and the closed forms of the exact certificate, in floats
-        eta = float(eta_opt(n, m))
-        assert np.max(np.abs(t_diag[:, 2] - 1)) <= 1e-14
+        eta, a = float(eta_opt(n, m)), np.arange(n + 1)
+        assert np.max(np.abs(t_diag.sum(axis=-1) - 1)) <= 1e-14
         assert np.max(np.abs(t_diag[:, 1] - (0.5 + eta * (a / n - 0.5)))) <= 1e-14
-        assert np.max(np.abs(t_off - eta * np.sqrt((a[:-1] + 1) * (n - a[:-1])) / n)) <= 1e-14
+        assert np.max(np.abs(t_off[:, 0] - eta * np.sqrt((a[:-1] + 1) * (n - a[:-1])) / n)) <= 1e-14
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 60), (4, 12), (6, 60), (30, 60), (60, 60)])
+    def test_output_band_matches_engine_on_matrix_units(self, n, m):
+        # the band map against the band of the engine's whole output (within 5.6e-17)
+        units = matrix_units(n)
+        ch = CloneChannel(n, m)
+        engine = symspace._band(apply_cloner_dicke(ch, units))
+        for got, want in zip(cloner._output_band(ch, symspace._band(units)), engine, strict=True):
+            assert got.shape == want.shape and np.max(np.abs(got - want)) <= 1e-16
+
+    def test_band_maps_compose(self):
+        # the paper's concatenation at channel level: N→M then M→L is N→L
+        cells = [(n, m, l) for n in range(1, 9) for m in range(n, 13) for l in range(m, 13)]
+        for n, m, l in cells + [(1, 30, 60), (6, 30, 60), (60, 60, 60)]:
+            chain = symspace._apply_band(cloner._band_map(n, m), cloner._band_map(m, l))
+            for got, want in zip(chain, cloner._band_map(n, l), strict=True):
+                assert got.shape == want.shape and np.max(np.abs(got - want)) <= 5e-16, (n, m, l)
 
     def test_map_is_bit_equal_to_table_slices(self):
-        # the map formed from the table factors equals, bit for bit, the
-        # diagonals of the whole table k[w, a, b] = (C(M-N,w) amp[w,a]) amp[w,b]
-        # weighted as the reduction reads them
+        # the map equals, bit for bit, the band map read off the whole table
+        # k[w, a, b] = (C(M-N,w) amp[w,a]) amp[w,b] (entry (a, b) goes to
+        # (a+w, b+w)) followed by the reduction's map, with per-row sums
         cells = [(n, m) for m in range(1, 21) for n in range(1, m + 1)]
         for n, m in cells + [(4, 40), (6, 60), (30, 60), (59, 60), (60, 60)]:
             left, amp = cloner._amplitudes(n, m)
             k = left[:, :, None] * amp[:, None, :]
-            j = np.arange(m - n + 1)[:, None] + np.arange(n + 1)
-            weights = np.stack(((m - j) / m, j / m, np.ones(j.shape)), axis=-1)
-            off_weights = np.sqrt((j[:, :-1] + 1) * (m - j[:, :-1])) / m
             scale = (n + 1) / (m + 1)
-            t_diag = scale * np.sum(np.diagonal(k, axis1=1, axis2=2)[..., None] * weights, axis=0)
-            t_off = scale * np.sum(np.diagonal(k, 1, axis1=1, axis2=2) * off_weights, axis=0)
+            d, u = np.zeros((n + 1, m + 1)), np.zeros((n, m))
+            for w in range(m - n + 1):
+                for a in range(n + 1):
+                    d[a, a + w] = k[w, a, a] * scale
+                    if a < n:
+                        u[a, a + w] = k[w, a, a + 1] * scale
+            red_diag, red_off = symspace._reduction(m)
+            t_diag = np.sum(d[:, :, None] * red_diag, axis=1)
+            t_off = np.sum(u[:, :, None] * red_off, axis=1)
             got_diag, got_off = _transfer(n, m)
             assert got_diag.tobytes() == t_diag.tobytes() and got_diag.shape == t_diag.shape
             assert got_off.tobytes() == t_off.tobytes() and got_off.shape == t_off.shape
@@ -593,11 +637,12 @@ class TestTransfer:
         assert _transfer.cache_info().currsize == 6
 
     def test_chunk_holds_inputs_only(self):
-        # samples per chunk depend on N alone: the outputs are one qubit each
+        # samples per chunk depend on N alone: each input is a band of 2N+1
+        # entries, and each output one qubit
         for m in (6, 16, 60):
-            assert _chunk_size(CloneChannel(6, m)) == symspace.BLOCK_ENTRIES // 49 == 668
-        assert _chunk_size(CloneChannel(1, 16)) == 8192
-        assert _chunk_size(CloneChannel(60, 60)) == 8
+            assert _chunk_size(CloneChannel(6, m)) == symspace.BLOCK_ENTRIES // 13 == 2520
+        assert _chunk_size(CloneChannel(1, 16)) == 10922
+        assert _chunk_size(CloneChannel(60, 60)) == 270
 
 
 class TestTensorPowerInput:

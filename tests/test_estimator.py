@@ -441,7 +441,7 @@ class TestMeasureAndPrepare:
     def test_map_is_read_only(self):
         # the cached band map is shared by every call on M copies
         t_diag, t_off = _estimation_map(9)
-        assert t_diag.shape == (10, 3) and t_off.shape == (9,)
+        assert t_diag.shape == (10, 2) and t_off.shape == (9, 1)
         assert _estimation_map(9)[0] is t_diag
         for arr in (t_diag, t_off):
             assert not arr.flags.writeable

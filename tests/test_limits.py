@@ -162,6 +162,23 @@ def test_coordinate_refusal_names_no_channel(entry):
     assert str(refusal.value) == f"n must be an integer in 1..{hi} for Dicke coordinates, got {hi + 1}"
 
 
+STATE_ENTRIES = {
+    "estimator.sample_candidates": lambda psi: estimator.sample_candidates(3, psi, 4, rng_from_seed(11)),
+    "estimator.estimation_fidelity_exact": lambda psi: estimator.estimation_fidelity_exact(3, psi),
+    "estimator.estimate_monte_carlo": lambda psi: estimator.estimate_monte_carlo(3, psi, 4, 12),
+    "estimator.verify_statement_b": lambda psi: estimator.verify_statement_b(1, 3, psi),
+}
+
+
+@pytest.mark.parametrize("entry", STATE_ENTRIES)
+def test_non_finite_states_refused(entry):
+    # a NaN norm compares False with everything, so the unit check must not pass it
+    for psi in ([math.nan, 0], [1, math.nan], [complex(0, math.nan), 0], [math.inf, 0],
+                [1, math.inf]):
+        with pytest.raises(ValueError, match="psi must be a unit 2-vector"):
+            STATE_ENTRIES[entry](psi)
+
+
 def test_full_space_limit_refused_before_building():
     # one qubit past the limit is refused before any 2^n operator is built
     n = limit("full_space") + 1

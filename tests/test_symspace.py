@@ -274,7 +274,7 @@ class TestReduction:
     def test_map_is_read_only(self):
         # the cached band map is shared by every reduction of m qubits
         t_diag, t_off = _reduction(7)
-        assert t_diag.shape == (8, 3) and t_off.shape == (7,)
+        assert t_diag.shape == (8, 2) and t_off.shape == (7, 1)
         assert _reduction(7)[0] is t_diag
         for arr in (t_diag, t_off):
             assert not arr.flags.writeable
