@@ -55,8 +55,7 @@ from .linalg import (
     rng_from_seed,
 )
 from .symspace import (BLOCK_ENTRIES, _apply_band, _band, _band_qubit, _dicke_coords, _frozen,
-                       _pure_band, _reduction, embed_dicke, reduced_qubit_from_dicke,
-                       symmetric_coords, tensor_power_dicke)
+                       _pure_band, _reduction, embed_dicke, symmetric_coords, tensor_power_dicke)
 
 MIN_BLOCH_LENGTH = 1e-6
 
@@ -138,10 +137,8 @@ def apply_cloner_dicke(ch, coords_n):
     block. Raises if any output trace differs from its input trace by more
     than 1e-10.
     """
-    coords_n, n = _dicke_coords(coords_n, "dicke", batch=True)
-    m = ch.m_out
-    if n != ch.n_in:
-        raise ValueError(f"coords shape {coords_n.shape} does not match n_in={ch.n_in}")
+    coords_n = _channel_coords(ch, coords_n)
+    n, m = ch.n_in, ch.m_out
     left, amp = _amplitudes(n, m)
     out = np.zeros(coords_n.shape[:-2] + (m + 1, m + 1), dtype=complex)
     for w in range(m - n + 1):
@@ -150,6 +147,15 @@ def apply_cloner_dicke(ch, coords_n):
     out /= m + 1
     _check_trace(np.trace(out, axis1=-2, axis2=-1), np.trace(coords_n, axis1=-2, axis2=-1))
     return out
+
+
+def _channel_coords(ch, coords):
+    """Dicke coordinates (N+1)x(N+1), or a batch of them, as the input of the
+    channel `ch`; ValueError if they are malformed or N is not its n_in."""
+    coords, n = _dicke_coords(coords, "dicke", batch=True)
+    if n != ch.n_in:
+        raise ValueError(f"coords shape {coords.shape} does not match n_in={ch.n_in}")
+    return coords
 
 
 def _check_trace(out_trace, in_trace):
@@ -173,7 +179,8 @@ def measure_shrinking(ch, rho_n):
 def measure_shrinking_dicke(ch, coords):
     """Shrinking factor and direction-state fidelity of each input of the batch
     `coords` (s, N+1, N+1), or of one input (N+1, N+1): product, then tail."""
-    return _shrinking(reduced_qubit_from_dicke(coords), _output_qubit(ch, _band(coords)))
+    band = _band(_channel_coords(ch, coords))
+    return _shrinking(_band_qubit(band, _reduction(ch.n_in)), _output_qubit(ch, band))
 
 
 def _output_qubit(ch, band):
@@ -287,8 +294,9 @@ def certify_cells(cells, n_samples):
 def measure_inputs(inputs):
     """(q_in, etas, fids) of inputs (channel, coords (N+1)x(N+1)) of any sizes: each
     input's reduced qubit, its output qubit through its own channel, one tail for all."""
-    q_in = np.array([reduced_qubit_from_dicke(coords) for _, coords in inputs])
-    return (q_in, *_shrinking(q_in, np.array([_output_qubit(ch, _band(c)) for ch, c in inputs])))
+    bands = [(ch, _band(_channel_coords(ch, coords))) for ch, coords in inputs]
+    q_in = np.array([_band_qubit(band, _reduction(ch.n_in)) for ch, band in bands])
+    return (q_in, *_shrinking(q_in, np.array([_output_qubit(ch, band) for ch, band in bands])))
 
 
 def measure_chains(chains):

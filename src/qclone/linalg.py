@@ -41,13 +41,14 @@ LIMITS = {
     # 0.21 s and 294 MB; one qubit more peaked at 1,066 MB, two ask for 4 GiB.
     "full_space": (12, "n must be an integer in {lo}..{hi} for a 2^n operator, got {value}"),
     # qubits in Dicke coordinates: clones of the channel (each CloneChannel
-    # refuses more, in its own wording) and copies of measure-and-prepare;
-    # verify_statement_b drives both to the limit.
+    # refuses more, in its own wording) and copies of measure-and-prepare and of
+    # exact and Monte Carlo estimation (in the estimator's wording, "m must be
+    # ..."); verify_statement_b drives the channel and the map to the limit, and
+    # the estimation map is within 1e-14 of its exact values at every M
+    # (test_matches_exact_twin).
     "dicke": (60, "n must be an integer in {lo}..{hi} for Dicke coordinates, got {value}"),
     # qubits of a pseudo-mixture: the range test_coordinate_core_sweep measures.
     "pseudo_mixture": (14, "pseudo-mixture n must be an integer in {lo}..{hi}, got {value}"),
-    # copies of estimation: test_matches_overlap_sum_oracle checks each to 1e-14.
-    "copies": (20, "m must be an integer in {lo}..{hi}, got {value}"),
     # Monte Carlo shots, streamed, so a time limit: 0.26 to 0.33 s in 36 MB
     # max RSS, with a 0.92 MB tracemalloc peak.
     "shots": (10 ** 7, "n_shots must be in {lo}..{hi}, got {value}"),

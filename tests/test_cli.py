@@ -461,7 +461,7 @@ CLONE = ["clone", "--n", "1", "--m", "2", "--samples", "2"]
     (["estimate", "--m", "2", "--shots", "2"], 0),
     (["estimate", "--m", "13"], 0),
     (["estimate", "--m", "20", "--shots", "10000"], 0),
-    (["estimate", "--m", "21"], 2),
+    (["estimate", "--m", "61"], 2),
     (["bounds", "--n", "1", "--m", "1001"], 0),
     (["concat", "--n", "61", "--m", "61", "--l", "61"], 2),
     (["concat", "--n", "1", "--m", "61", "--l", "61"], 2),
@@ -477,6 +477,8 @@ CLONE = ["clone", "--n", "1", "--m", "2", "--samples", "2"]
     (["concat", "--n", "1", "--m", "1", "--l", "1"], 0),
     (["concat", "--n", "60", "--m", "60", "--l", "60"], 0),
     (["concat", "--n", "1", "--m", "1", "--l", "1000000"], 2),
+    (["estimate", "--m", "21"], 0),
+    (["estimate", "--m", "60", "--shots", "10000"], 0),
 ])
 def test_argument_contract(capsys, argv, code):
     try:

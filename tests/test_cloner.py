@@ -14,9 +14,9 @@ from qclone.cloner import (
     apply_cloner,
     apply_cloner_dicke,
     certify_universality,
+    measure_inputs,
     measure_shrinking,
     measure_shrinking_dicke,
-    reduced_qubit_from_dicke,
     tensor_power_input,
 )
 from qclone.linalg import (
@@ -35,6 +35,7 @@ from qclone.symspace import (
     dicke_basis,
     project_dicke,
     random_symmetric_density,
+    reduced_qubit_from_dicke,
     symmetric_coords,
     symmetrizer,
     tensor_power_dicke,
@@ -298,6 +299,17 @@ class TestDickePath:
         for shape in [(4, 4), (2, 2, 3, 3), (3,), (2, 2, 2)]:
             with pytest.raises(ValueError):
                 apply_cloner_dicke(CloneChannel(2, 4), np.zeros(shape, dtype=complex))
+
+    @pytest.mark.parametrize("call", [
+        apply_cloner_dicke,
+        measure_shrinking_dicke,
+        lambda ch, coords: measure_inputs([(CloneChannel(1, 3), np.eye(2) / 2), (ch, coords)]),
+    ], ids=["apply_cloner_dicke", "measure_shrinking_dicke", "measure_inputs"])
+    def test_coordinates_must_match_the_channel(self, call):
+        # every channel entry names n_in, for one input and for a batch
+        for coords in (np.eye(4) / 4, np.eye(2) / 2, np.broadcast_to(np.eye(4) / 4, (2, 4, 4))):
+            with pytest.raises(ValueError, match=r"coords shape \(.*\) does not match n_in=2"):
+                call(CloneChannel(2, 4), coords)
 
     def test_table_is_read_only(self):
         # the cached transfer map is shared by every caller of a cell

@@ -10,6 +10,7 @@ from qclone.cloner import CloneChannel, apply_cloner, tensor_power_input
 from qclone.estimator import (
     _draw,
     _estimation_map,
+    _polar_rule,
     _scratch,
     estimate_monte_carlo,
     estimation_fidelity_exact,
@@ -28,7 +29,7 @@ from qclone.symspace import BLOCK_ENTRIES, random_symmetric_density, symmetrizer
 KET0 = np.array([1, 0], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 CHUNK = BLOCK_ENTRIES // 2   # shots per chunk of estimate_monte_carlo
-BAD_COPIES = (0, -1, 21, 2.5, 3.0)
+BAD_COPIES = (0, -1, 61, 2.5, 3.0)
 
 
 class TestQuadrature:
@@ -49,6 +50,27 @@ class TestQuadrature:
     def test_weights_normalized(self):
         _, weights = sphere_quadrature(4)
         assert abs(math.fsum(weights) - 1) < 1e-13
+
+    @pytest.mark.parametrize("m", [1, 2, 17, 60])
+    def test_polar_rule_is_symmetric(self, m):
+        # nodes x and -x (theta and pi - theta swap cos and sin of theta/2),
+        # equal weights at both, summing to 1; read-only arrays
+        c, s, w = _polar_rule(m)
+        assert len(w) == m + 4
+        assert np.max(np.abs(c - s[::-1])) <= 2.3e-16
+        assert np.array_equal(w, w[::-1]) and abs(math.fsum(w) - 1) <= 1e-15
+        for arr in (c, s, w):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("m", [3, 60])
+    def test_polar_rule_computed_once(self, m):
+        # the quadrature and the band map share one rule per M
+        for cached in (_polar_rule, sphere_quadrature, quadrature_powers, _estimation_map):
+            cached.cache_clear()
+        estimation_fidelity_exact(m, KET0)
+        povm_completeness_residual(m)
+        info = _polar_rule.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     @pytest.mark.parametrize("m", [1, 7, 20])
     def test_node_powers_cached_bit_equal(self, m):
@@ -88,7 +110,7 @@ class TestExactEstimation:
         s_psi = bloch_of(np.outer(psi, psi.conj()))
         assert np.max(np.abs(bloch_of(rep.rho_bar) - (m / (m + 2)) * s_psi)) < 1e-10
 
-    @pytest.mark.parametrize("m", range(1, LIMITS["copies"][0] + 1))
+    @pytest.mark.parametrize("m", range(1, LIMITS["dicke"][0] + 1))
     def test_matches_overlap_sum_oracle(self, m):
         # the overlap sum F = Σ_i (M+1) q_i |<phi_i|psi>|^(2(M+1)), summed with
         # fsum, and the probability-weighted node projectors for rho_bar
@@ -105,6 +127,16 @@ class TestExactEstimation:
             assert abs(rep.eta_measured - (2 * fid - 1)) <= 2e-14
             assert np.max(np.abs(rep.rho_bar - rho_bar)) <= 1e-14
             assert rep.quadrature_order == len(weights)
+
+    @pytest.mark.parametrize("m", range(1, LIMITS["dicke"][0] + 1))
+    def test_matches_closed_form_operator(self, m):
+        # rho_bar = (1 + M |psi><psi|) / (M+2); the worst case over M <= 60 is
+        # 2.4e-14 (M = 56), and 7.8e-14 (M = 53) with numpy's leggauss weights
+        rng = rng_from_seed(600 + m)
+        for _ in range(20):
+            psi = haar_random_pure(rng)
+            exact = (np.eye(2) + m * np.outer(psi, psi.conj())) / (m + 2)
+            assert np.max(np.abs(estimation_fidelity_exact(m, psi).rho_bar - exact)) <= 3e-14
 
     def test_range_check(self):
         for m in BAD_COPIES:
@@ -152,7 +184,7 @@ class TestMonteCarlo:
                 misses += 1
         assert misses == 0
 
-    @pytest.mark.parametrize("m", range(13, 21))
+    @pytest.mark.parametrize("m", [*range(13, 21), 60])
     def test_band_above_twelve_copies(self, m):
         rep = estimate_monte_carlo(m, haar_random_pure(rng_from_seed(m)), 100_000, seed=m)
         assert abs(rep.fidelity_measured - (m + 1) / (m + 2)) < 4 * rep.statistical_error
@@ -437,6 +469,18 @@ class TestMeasureAndPrepare:
             probs = (m + 1) * weights * np.einsum("ij,jk,ik->i", vecs.conj(), coords, vecs).real
             oracle = hermitize(np.einsum("i,ij,ik->jk", probs, states, states.conj()))
             assert np.max(np.abs(measure_and_prepare_dicke(coords) - oracle)) <= 2e-15
+
+    @pytest.mark.parametrize("m", range(1, LIMITS["dicke"][0] + 1))
+    def test_matches_exact_twin(self, m):
+        # d[k] = ((M-k+1), (k+1)) / (M+2) and u[k] = sqrt((k+1)(M-k)) / (M+2),
+        # each the float nearest an exact ratio (u through the float nearest u²).
+        # numpy's leggauss weights alone put the map off by up to 1.36e-13
+        t_diag, t_off = _estimation_map(m)
+        exact_diag = [[float(Fraction(m - k + 1, m + 2)), float(Fraction(k + 1, m + 2))]
+                      for k in range(m + 1)]
+        exact_off = [[math.sqrt(Fraction((k + 1) * (m - k), (m + 2) ** 2))] for k in range(m)]
+        assert np.max(np.abs(t_diag - exact_diag)) <= 1e-14
+        assert np.max(np.abs(t_off - exact_off)) <= 1e-14
 
     def test_map_is_read_only(self):
         # the cached band map is shared by every call on M copies

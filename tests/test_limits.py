@@ -64,14 +64,14 @@ COUNT_ENTRIES = {
     "estimator.measure_and_prepare_channel": (
         lambda k: estimator.measure_and_prepare_channel(k, RHO1), limit("full_space"), False),
     "estimator.estimation_fidelity_exact": (
-        lambda k: estimator.estimation_fidelity_exact(k, KET0), limit("copies"), True),
+        lambda k: estimator.estimation_fidelity_exact(k, KET0), limit("dicke"), True),
     "estimator.estimate_monte_carlo copies": (
-        lambda k: estimator.estimate_monte_carlo(k, KET0, 100, 5), limit("copies"), True),
+        lambda k: estimator.estimate_monte_carlo(k, KET0, 100, 5), limit("dicke"), True),
     "estimator.estimate_monte_carlo shots": (
         lambda k: estimator.estimate_monte_carlo(2, KET0, k, 5), limit("shots"), True),
     "estimator.sample_candidates copies": (
         lambda k: estimator.sample_candidates(k, KET0, 100, rng_from_seed(6)),
-        limit("copies"), True),
+        limit("dicke"), True),
     "estimator.sample_candidates shots": (
         lambda k: estimator.sample_candidates(2, KET0, k, rng_from_seed(6)),
         limit("shots"), False),
@@ -88,7 +88,7 @@ COUNT_ENTRIES = {
     "bounds.check_identities l": (lambda k: bounds.check_identities(1, 2, k), None, True),
     "cli.run_verify_all samples": (
         lambda k: cli.run_verify_all(7, k, 1e-9), limit("shots") // 200, False),
-    "cli.run_estimate": (lambda k: cli.run_estimate(k, 0, 8, 1e-9), limit("copies"), True),
+    "cli.run_estimate": (lambda k: cli.run_estimate(k, 0, 8, 1e-9), limit("dicke"), True),
     "cli.run_concat": (lambda k: cli.run_concat(1, 2, k, 9, 1e-9), limit("dicke"), True),
 }
 
@@ -197,7 +197,7 @@ def test_partial_trace_refuses_fractional_qubit():
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["estimate", "--m", str(limit("copies") + 1)], "m must be an integer in 1..20, got 21"),
+    (["estimate", "--m", str(limit("dicke") + 1)], "m must be an integer in 1..60, got 61"),
     (["clone", "--n", "1", "--m", str(limit("dicke") + 1)], "dicke path limited to m_out <= 60"),
     (["verify-all", "--samples", str(limit("shots") // 200 + 1)],
      "samples must be at most 50000: Monte Carlo cells draw 200 shots per sample, "
