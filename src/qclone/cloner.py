@@ -4,18 +4,20 @@ The channel is the symmetrization construction
 
     rho_N  ->  (N+1)/(M+1) * S_M (rho_N ⊗ 1^⊗(M-N)) S_M ,
 
-trace-preserving on symmetric inputs. It scales the Bloch vector of the
-single-qubit reduction by N(M+2)/(M(N+2)) without rotating it; saturation
-of that optimum is verified by the test suite, not assumed here. Building a
-`CloneChannel` is the one check of M against the `dicke` limit.
+trace-preserving on symmetric inputs; in Dicke coordinates Σ_w F_w ρ F_wᵀ with
+one real factor (`_amplitudes`, at most 1, so nothing overflows) that every
+path below shares. It scales the Bloch vector of the single-qubit reduction by
+N(M+2)/(M(N+2)) without rotating it; saturation of that optimum is verified by
+the test suite, not assumed here. Building a `CloneChannel` is the one check of
+M against the `dicke` limit.
 
 The channel moves input entry (a, b) to (a+w, b+w), so it maps the band of
 Dicke coordinates (diagonal and superdiagonal), all that one output qubit
 reads, to the band of the output. `_band_map(N, M)`, built uncached from the
-channel's factors (`_amplitudes`), is the channel on bands, and `_output_band`
-applies it with the trace guard. `_transfer(N, M)` is that map followed by the
-reduction's, `symspace._reduction(M)`: a band straight to one clone's qubit,
-and the module's only cache. The product `_output_qubit` is `_transfer` in the
+factor, is the channel on bands, and `_output_band` applies it with the trace
+guard. `_transfer(N, M)` is that map followed by the reduction's,
+`symspace._reduction(M)`: a band straight to one clone's qubit, and the
+module's only cache. The product `_output_qubit` is `_transfer` in the
 band kernel `symspace._band_qubit`, with the trace guard, on s input bands per
 channel; the channel-free tail `_shrinking` forms Bloch vectors, shrinking
 factor and fidelity row by row, with its guards, on the joined rows of many
@@ -28,7 +30,7 @@ drawn, so memory does not grow with the sample count. `measure_chains`
 stage-1 output band: one product per (stage, channel), one output band per
 stage-1 channel, one tail. Neither forms a 2^N, 2^M or whole Dicke operator.
 
-`apply_cloner_dicke` (M-N+1 shifted blocks from the same factors, nothing
+`apply_cloner_dicke` (M-N+1 shifted blocks from the same factor, nothing
 cached) gives whole outputs, for the positivity check and the full-space
 adapter, with the trace guard (`_check_trace`, within 1e-10); `apply_cloner`
 embeds them in the full space (M within `LIMITS["full_space"]`) as
@@ -51,7 +53,6 @@ from .linalg import (
     haar_random_pure,
     haar_random_pure_batch,
     hermitize,
-    pure_fidelity,
     rng_from_seed,
 )
 from .symspace import (BLOCK_ENTRIES, _apply_band, _band, _band_qubit, _dicke_coords, _frozen,
@@ -94,28 +95,24 @@ def apply_cloner(ch, rho_n):
 
 
 def _amplitudes(n, m):
-    """The two factors of the channel, (M-N+1, N+1) each, uncached:
-    C(M-N,w) amp[w,a] and amp[w,a] = sqrt(C(N,a) / C(M,a+w)). Input entry
-    (a, b) goes to (a+w, b+w) with k[w, a, b] = (C(M-N,w) amp[w,a]) amp[w,b];
-    each quotient is a correctly rounded ratio of two ints of binomial rows."""
-    row_n, row_m = [comb(n, a) for a in range(n + 1)], [comb(m, j) for j in range(m + 1)]
-    ws = range(m - n + 1)
-    amp = np.array([[sqrt(row_n[a] / row_m[a + w]) for a in range(n + 1)] for w in ws])
-    cw = np.array([float(comb(m - n, w)) for w in ws])
-    return cw[:, None] * amp, amp
+    """The channel's one factor f (M-N+1, N+1), uncached: input entry (a, b) goes to
+    (a+w, b+w) with weight f[w,a] f[w,b], f[w,a]² = (N+1) C(M-N,w) C(N,a) / ((M+1) C(M,a+w)).
+    Each square is a correctly rounded ratio of two ints of binomial rows, at most 1
+    by Vandermonde, so no binomial becomes a float and nothing overflows."""
+    row_n, row_m, row_w = ([comb(k, j) for j in range(k + 1)] for k in (n, m, m - n))
+    return np.array([[sqrt((n + 1) * c_w * c_a / ((m + 1) * row_m[a + w]))
+                      for a, c_a in enumerate(row_n)] for w, c_w in enumerate(row_w)])
 
 
 def _band_map(n, m):
-    """The channel as a band map (d (N+1, M+1), u (N, M)), uncached: input entry (a, b)
-    goes to (a+w, b+w) with k[w, a, b] = (C(M-N,w) amp[w,a]) amp[w,b] (`_amplitudes`),
-    so d[a, a+w] = k[w, a, a] and u[a, a+w] = k[w, a, a+1], each times (N+1)/(M+1)."""
-    left, amp = _amplitudes(n, m)
+    """The channel as a band map (d (N+1, M+1), u (N, M)), uncached, from its factor f
+    (`_amplitudes`): d[a, a+w] = f[w,a]² and u[a, a+w] = f[w,a] f[w,a+1]."""
+    f = _amplitudes(n, m)
     a, w = np.arange(n + 1), np.arange(m - n + 1)[:, None]
     d, u = np.zeros((n + 1, m + 1)), np.zeros((n, m))
-    d[a, a + w] = left * amp
-    u[a[:-1], a[:-1] + w] = left[:, :-1] * amp[:, 1:]
-    scale = (n + 1) / (m + 1)
-    return d * scale, u * scale
+    d[a, a + w] = f * f
+    u[a[:-1], a[:-1] + w] = f[:, :-1] * f[:, 1:]
+    return d, u
 
 
 @lru_cache(maxsize=None)
@@ -130,21 +127,19 @@ def apply_cloner_dicke(ch, coords_n):
     batch (s, N+1, N+1) of inputs gives the batch (s, M+1, M+1) of outputs.
 
     Matrix elements follow from <D^M_j | (|D^N_a> ⊗ |x>) being nonzero only
-    for wt(x) = j - a, so the identity on the blanks contributes one binomial
-    factor per excess weight w: out = (N+1)/(M+1) Σ_w C(M-N,w) A_w ρ A_wᵀ.
-    For increasing w, the block k[w] ρ (factors from `_amplitudes`) is added
-    at offset (w, w); nothing is cached, so memory is one output and one
-    block. Raises if any output trace differs from its input trace by more
-    than 1e-10.
+    for wt(x) = j - a, so the identity on the blanks contributes one term per
+    excess weight w: out = Σ_w F_w ρ F_wᵀ, F_w = Σ_a f[w,a] |a+w><a| with the
+    factor f of `_amplitudes`, which carries the binomials and (N+1)/(M+1). For
+    increasing w, the block (f[w] f[w]ᵀ) ρ is added at offset (w, w); nothing
+    is cached, so memory is one output and one block. Raises if any output
+    trace differs from its input trace by more than 1e-10.
     """
     coords_n = _channel_coords(ch, coords_n)
     n, m = ch.n_in, ch.m_out
-    left, amp = _amplitudes(n, m)
+    f = _amplitudes(n, m)
     out = np.zeros(coords_n.shape[:-2] + (m + 1, m + 1), dtype=complex)
     for w in range(m - n + 1):
-        out[..., w:w + n + 1, w:w + n + 1] += (left[w][:, None] * amp[w]) * coords_n
-    out *= n + 1
-    out /= m + 1
+        out[..., w:w + n + 1, w:w + n + 1] += (f[w][:, None] * f[w]) * coords_n
     _check_trace(np.trace(out, axis1=-2, axis2=-1), np.trace(coords_n, axis1=-2, axis2=-1))
     return out
 
@@ -213,11 +208,13 @@ def _shrinking(q_in, q_out):
     # Angle via the perpendicular residual; arccos of the normalized dot
     # product cannot resolve angles below ~1e-8.
     unit_in = s_in / len_in[..., None]
-    perp = s_out - np.sum(s_out * unit_in, axis=-1, keepdims=True) * unit_in
+    along = np.sum(s_out * unit_in, axis=-1)
+    perp = s_out - along[..., None] * unit_in
     angle = np.arcsin(np.clip(np.linalg.norm(perp, axis=-1) / len_out, 0.0, 1.0))
     if angle.max() > 1e-9:
         raise RuntimeError(f"output Bloch vector rotated by {angle.max():.3e} rad")
-    return len_out / len_in, pure_fidelity(_direction_state(s_in), q_out)
+    # <d|q|d> for the pure state d along s_in: (tr q + unit_in·s_out) / 2
+    return len_out / len_in, ((q_out[..., 0, 0] + q_out[..., 1, 1]).real + along) / 2
 
 
 def _shrinking_pieces(pieces):
@@ -229,14 +226,6 @@ def _shrinking_pieces(pieces):
     etas, fids = _shrinking(*(q[0] if len(q) == 1 else np.concatenate(q) for q in (q_in, q_out)))
     ends = list(accumulate(len(q) for q in q_in))
     return [(o, etas[a:b], fids[a:b]) for o, a, b in zip(owners, [0] + ends, ends)]
-
-
-def _direction_state(s):
-    """Pure qubit states along the Bloch vectors s (..., 3), shape (..., 2)."""
-    unit = s / np.linalg.norm(s, axis=-1, keepdims=True)
-    theta = np.arccos(np.clip(unit[..., 2], -1.0, 1.0))
-    phi = np.arctan2(unit[..., 1], unit[..., 0])
-    return np.stack((np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)), axis=-1)
 
 
 def _chunk_size(ch):

@@ -78,6 +78,11 @@ def _legendre(k, x):
     return p1, k * (x * p1 - p0) / (x * x - 1)
 
 
+def _grid(m):
+    """Polar nodes and azimuths of the sphere rule at M = m copies."""
+    return (2 * m + 4 + 1) // 2 + 2, 2 * m + 5
+
+
 @lru_cache(maxsize=None)
 def _polar_rule(m):
     """Read-only cos(theta/2), sin(theta/2) and weights (summing to 1) of the
@@ -91,7 +96,7 @@ def _polar_rule(m):
     2/((1-x^2) P_k'(x)^2) and symmetrised: the map is then within 6.7e-15 of
     its exact values for every M <= 60.
     """
-    k = (2 * m + 4 + 1) // 2 + 2
+    k = _grid(m)[0]
     x = np.polynomial.legendre.leggauss(k)[0]
     for _ in range(2):
         p, dp = _legendre(k, x)
@@ -109,11 +114,11 @@ def sphere_quadrature(m):
 
     Returns (states, weights): states[i] is a pure qubit state, weights sum
     to 1 and integrate any Bloch-sphere polynomial of the relevant degree
-    exactly against the Haar measure: the polar rule times 2m+5 azimuths.
+    exactly against the Haar measure: the polar rule times `_grid`'s azimuths.
     """
     m = _integer_in(m, 1, "dicke")
     c, s, w = _polar_rule(m)
-    n_azim = 2 * m + 5
+    n_azim = _grid(m)[1]
     phis = 2 * np.pi * np.arange(n_azim) / n_azim
     amp0 = np.broadcast_to(c[:, None], (len(c), n_azim))
     amp1 = s[:, None] * np.exp(1j * phis)[None, :]
@@ -127,7 +132,7 @@ def sphere_quadrature(m):
 @lru_cache(maxsize=None)
 def _estimation_map(m):
     """Read-only band map of measure-and-prepare on M copies to one qubit. The
-    2m+5 azimuths of `sphere_quadrature` average e^(i(l-k-d)phi), d = 0, 1, to
+    azimuths of `sphere_quadrature` (`_grid`) average e^(i(l-k-d)phi), d = 0, 1, to
     [l = k+d] exactly, so only the polar nodes (c_j, s_j) with weights w_j remain;
     with v_j the Dicke coefficients of (c_j, s_j)^⊗M, d[k] = (M+1) Σ_j w_j v_jk²
     (c_j², s_j²) and u[k] = (M+1) Σ_j w_j v_jk v_j,k+1 c_j s_j."""
@@ -165,7 +170,7 @@ def estimation_fidelity_exact(m, psi):
     psi = _unit_qubit(psi)
     rho_bar = hermitize(_band_qubit(_pure_band(tensor_power_dicke(psi, m)), _estimation_map(m)))
     fid = pure_fidelity(psi, rho_bar)
-    return EstimationReport(m, fid, 2 * fid - 1, rho_bar, len(sphere_quadrature(m)[1]), 0.0)
+    return EstimationReport(m, fid, 2 * fid - 1, rho_bar, math.prod(_grid(m)), 0.0)
 
 
 def _unit_qubit(psi):

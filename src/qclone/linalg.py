@@ -127,20 +127,21 @@ def partial_trace(rho, keep, n=None):
     return t.reshape(d, d)
 
 
-def hermitize(rho, tol=PSD_TOL):
-    """Symmetrize floating-point drift; asserts the drift was small (a NaN
-    drift is not). Leading axes are a batch: each trailing square matrix is
+def hermitize(rho):
+    """Symmetrize floating-point drift; asserts the drift was below PSD_TOL (a
+    NaN drift is not). Leading axes are a batch: each trailing square matrix is
     symmetrized."""
     rho = np.asarray(rho, dtype=complex)
     adj = rho.conj().swapaxes(-1, -2)
     dev = np.max(np.abs(rho - adj))
-    if not dev < tol:
-        raise ValueError(f"Hermiticity deviation {dev:.3e} exceeds {tol:.0e}")
+    if not dev < PSD_TOL:
+        raise ValueError(f"Hermiticity deviation {dev:.3e} exceeds {PSD_TOL:.0e}")
     return (rho + adj) / 2
 
 
 def min_eigenvalue(rho):
-    return float(np.linalg.eigvalsh(hermitize(np.asarray(rho, dtype=complex), tol=np.inf)).min())
+    rho = np.asarray(rho, dtype=complex)
+    return float(np.linalg.eigvalsh((rho + rho.conj().swapaxes(-1, -2)) / 2).min())
 
 
 def bloch_of(rho):

@@ -6,13 +6,13 @@ strings with k ones. `dicke_basis` returns the isometry V into the full
 2^n space; `project_dicke`/`embed_dicke` move operators between the
 (n+1)-dimensional coordinate space and the full space.
 
-Row i of V has a single nonzero, C(n, popcount i)^(-1/2), so the Dicke
+Row i of V has a single nonzero, sqrt(1/C(n, popcount i)), so the Dicke
 coordinates c = V†ρV are popcount-class sums and S ρ S = V c V†, S = V V†,
-is constant on each class block. `symmetric_coords` projects a full-space
-input and checks its support in one pass over ρ: it accepts iff
-max|ρ - SρS| < tol/2, which puts both max|ρ - Sρ| and max|ρ - ρS| below
-tol; for a C-contiguous complex128 ρ it allocates no 2^n x 2^n temporary.
-`is_symmetric_support` is the same pass's verdict.
+is constant on each class block, a table `embed_dicke` gathers without V.
+`symmetric_coords` projects a full-space input and checks its support in one
+pass over ρ: it accepts iff max|ρ - SρS| < tol/2, which puts both max|ρ - Sρ|
+and max|ρ - ρS| below tol; for a C-contiguous complex128 ρ it allocates no
+2^n x 2^n temporary. `is_symmetric_support` is the same pass's verdict.
 
 One qubit of a symmetric state, or of the output of a channel that commutes
 with rotations about z, reads only the diagonal and superdiagonal (the
@@ -55,11 +55,9 @@ def _frozen(arr):
 def dicke_basis(n):
     """Isometry V of shape (2^n, n+1); column k is the Dicke state |D_k>."""
     n = _integer_in(n, 1, "full_space")
-    dim = 2 ** n
-    ones = np.array([bin(i).count("1") for i in range(dim)])
-    v = np.zeros((dim, n + 1), dtype=complex)
-    for k in range(n + 1):
-        v[ones == k, k] = 1.0 / sqrt(comb(n, k))
+    ones, _, _, scale = _popcount_classes(n)
+    v = np.zeros((2 ** n, n + 1), dtype=complex)
+    v[np.arange(2 ** n), ones] = scale[ones]
     return _frozen(v)
 
 
@@ -98,21 +96,21 @@ def project_dicke(op, n=None):
 def embed_dicke(coords):
     """V coords V†: Dicke-coordinate operator into the full 2^n space."""
     coords, n = _dicke_coords(coords, "full_space")
-    v = dicke_basis(n)
-    return v @ coords @ v.conj().T
+    ones, _, _, scale = _popcount_classes(n)
+    return (scale[:, None] * coords * scale)[:, ones][ones]
 
 
 @lru_cache(maxsize=None)
 def _popcount_classes(n):
     """Read-only popcount k(i) of each basis index, the real class indicator
     E[i, k] = [popcount i == k], E ⊗ 1_2 for the interleaved real view of a
-    complex operator, and 1 / C(n, k)."""
+    complex operator, and sqrt(1 / C(n, k)), the nonzero of a class-k row of V."""
     idx = np.arange(2 ** n)
     ones = sum((idx >> q) & 1 for q in range(n))
     ind = (ones[:, None] == np.arange(n + 1)).astype(float)
     ind2 = np.kron(ind, np.eye(2))
-    inv_binom = np.array([1.0 / comb(n, k) for k in range(n + 1)])
-    return tuple(_frozen(arr) for arr in (ones, ind, ind2, inv_binom))
+    scale = np.sqrt([1.0 / comb(n, k) for k in range(n + 1)])
+    return tuple(_frozen(arr) for arr in (ones, ind, ind2, scale))
 
 
 def _support_pass(rho):
@@ -133,9 +131,8 @@ def _support_pass(rho):
     rho = np.ascontiguousarray(rho, dtype=complex)
     n = _integer_in(n_qubits_of(rho), 1, "full_space")
     d = rho.shape[0]
-    ones, ind, ind2, inv_binom = _popcount_classes(n)
+    ones, ind, ind2, scale = _popcount_classes(n)
     row_sums = (ind.T @ rho.view(float)).view(complex)    # (n+1, d)
-    scale = np.sqrt(inv_binom)
     coords = scale[:, None] * (row_sums.view(float) @ ind2).view(complex) * scale[None, :]
     table = (scale[:, None] * coords * scale[None, :])[:, ones]   # row k: VcV† on class k
     resid = 0.0   # np.maximum keeps a NaN entry, so it is never accepted

@@ -10,8 +10,7 @@ import pytest
 
 from qclone import bounds, cli, cloner, estimator, linalg, symspace
 from qclone.cli import build_parser, main, run_concat
-from qclone.cloner import (CloneChannel, apply_cloner, apply_cloner_dicke,
-                           measure_shrinking_dicke, tensor_power_input)
+from qclone.cloner import CloneChannel, apply_cloner, measure_shrinking_dicke, tensor_power_input
 from qclone.linalg import LIMITS, haar_random_pure, min_eigenvalue, partial_trace, rng_from_seed
 from qclone.symspace import _band, _band_qubit, _reduction, _support_pass, tensor_power_dicke
 
@@ -366,15 +365,14 @@ class TestSanityPositivity:
 
 
 def test_physics_guard_exits_1_without_traceback(capsys, monkeypatch):
-    # a table coefficient off by 1e-6 at (2, 16) trips the trace guard
+    # the channel factor off by 1e-6 at (2, 16) trips the trace guard
     # inside certification; the run stops with one error line and exit 1
     amplitudes = cloner._amplitudes
 
     def perturbed(n, m):
-        left, amp = amplitudes(n, m)
-        left = left.copy()
-        left[0, 1] += 1e-6
-        return left, amp
+        f = amplitudes(n, m)
+        f[0, 1] += 1e-6
+        return f
 
     cloner._transfer.cache_clear()
     monkeypatch.setattr(cloner, "_amplitudes", perturbed)
@@ -393,11 +391,10 @@ def test_guard_in_a_concat_group_exits_1(capsys, monkeypatch):
     amplitudes = cloner._amplitudes
 
     def perturbed(n, m):
-        left, amp = amplitudes(n, m)
+        f = amplitudes(n, m)
         if (n, m) == (5, 8):
-            left = left.copy()
-            left[0, 1] += 1e-6
-        return left, amp
+            f[0, 1] += 1e-6
+        return f
 
     cloner._transfer.cache_clear()
     monkeypatch.setattr(cloner, "_amplitudes", perturbed)
@@ -415,11 +412,10 @@ def test_guard_in_a_clone_cell_exits_1(capsys, monkeypatch):
     amplitudes = cloner._amplitudes
 
     def perturbed(n, m):
-        left, amp = amplitudes(n, m)
+        f = amplitudes(n, m)
         if (n, m) == (2, 7):
-            left = left.copy()
-            left[0, 1] += 1e-6
-        return left, amp
+            f[0, 1] += 1e-6
+        return f
 
     cloner._transfer.cache_clear()
     monkeypatch.setattr(cloner, "_amplitudes", perturbed)

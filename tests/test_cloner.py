@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 from math import comb, factorial, nan, sqrt
 
 import numpy as np
@@ -71,16 +72,15 @@ def pure_and_mixed_inputs(rng, n):
 
 def loop_dicke_cloner(n, m, coords_n):
     """Reference Dicke-coordinate channel as an explicit loop over (w, a, b)."""
-    amp = np.zeros((n + 1, m + 1))  # amp[a, a+w] = sqrt(C(N,a) / C(M,a+w))
+    f = np.zeros((n + 1, m + 1))  # f[a, a+w]² = (N+1) C(M-N,w) C(N,a) / ((M+1) C(M,a+w))
     out = np.zeros((m + 1, m + 1), dtype=complex)
     for w in range(m - n + 1):
-        cw = comb(m - n, w)
         for a in range(n + 1):
-            amp[a, a + w] = sqrt(comb(n, a) / comb(m, a + w))
+            f[a, a + w] = sqrt((n + 1) * comb(m - n, w) * comb(n, a) / ((m + 1) * comb(m, a + w)))
         for a in range(n + 1):
             for b in range(n + 1):
-                out[a + w, b + w] += cw * amp[a, a + w] * amp[b, b + w] * coords_n[a, b]
-    return out * (n + 1) / (m + 1)
+                out[a + w, b + w] += f[a, a + w] * f[b, b + w] * coords_n[a, b]
+    return out
 
 
 def matrix_units(n):
@@ -242,16 +242,22 @@ class TestDickePath:
             assert np.array_equal(fast, loop_dicke_cloner(n, m, coords))
 
     def test_amplitudes_match_per_entry_binomials(self):
-        # one binomial row per call divides the same ints as two comb calls
-        # per entry, so both factors are bit-identical on every cell
+        # one correctly rounded int ratio per entry, from binomial rows, is the
+        # square root of the exact Fraction bit for bit on every cell
         for m in range(1, LIMITS["dicke"][0] + 1):
             for n in range(1, m + 1):
-                ws = range(m - n + 1)
-                amp = np.array([[sqrt(comb(n, a) / comb(m, a + w)) for a in range(n + 1)]
-                                for w in ws])
-                left = np.array([float(comb(m - n, w)) for w in ws])[:, None] * amp
-                got_left, got_amp = cloner._amplitudes(n, m)
-                assert np.array_equal(got_left, left) and np.array_equal(got_amp, amp), (n, m)
+                want = np.array([[sqrt(Fraction((n + 1) * comb(m - n, w) * comb(n, a),
+                                                (m + 1) * comb(m, a + w)))
+                                  for a in range(n + 1)] for w in range(m - n + 1)])
+                got = cloner._amplitudes(n, m)
+                assert got.tobytes() == want.tobytes() and got.shape == want.shape, (n, m)
+
+    def test_amplitudes_do_not_overflow(self):
+        # past C(M-N, w) ~ 1e308 every entry stays a ratio at most 1, and the
+        # squares over w sum to the trace, 1, for each input level a
+        f = cloner._amplitudes(7, 1040)
+        assert f.shape == (1034, 8) and np.isfinite(f).all() and f.max() <= 1
+        assert np.max(np.abs((f * f).sum(axis=0) - 1)) <= 1e-14
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 7), (6, 60)])
     def test_batch_matches_single_inputs(self, n, m):
@@ -388,20 +394,19 @@ class TestMeasureShrinking:
             measure_shrinking_dicke(ch, np.stack([good, good, skew]))
 
     def test_trace_guard(self, monkeypatch):
-        # one table factor off by 1e-6 at M = 16 moves the diagonal
-        # coefficient k[0, 1, 1] and breaks trace preservation
+        # the channel factor off by 1e-6 at M = 16 moves the diagonal
+        # coefficient f[0, 1]² and breaks trace preservation
         amplitudes = cloner._amplitudes
 
         def perturbed(n, m):
-            left, amp = amplitudes(n, m)
-            left = left.copy()
-            left[0, 1] += 1e-6
-            return left, amp
+            f = amplitudes(n, m)
+            f[0, 1] += 1e-6
+            return f
 
         ch = CloneChannel(2, 16)
         coords = symmetric_coords(tensor_power_input(PLUS, 2))
         measure_shrinking_dicke(ch, np.stack([coords, coords]))
-        # the cached transfer map is formed from the table factors: drop it on
+        # the cached transfer map is formed from the channel factor: drop it on
         # both sides so the perturbed (2, 16) map neither is missed nor outlives the test
         _transfer.cache_clear()
         monkeypatch.setattr(cloner, "_amplitudes", perturbed)
@@ -593,14 +598,16 @@ class TestTransfer:
         assert np.max(np.abs(t_diag[:, 1] - (0.5 + eta * (a / n - 0.5)))) <= 1e-14
         assert np.max(np.abs(t_off[:, 0] - eta * np.sqrt((a[:-1] + 1) * (n - a[:-1])) / n)) <= 1e-14
 
-    @pytest.mark.parametrize("n,m", [(1, 1), (1, 60), (4, 12), (6, 60), (30, 60), (60, 60)])
+    @pytest.mark.parametrize("n,m", [(n, m) for m in range(1, 21) for n in range(1, m + 1)]
+                             + [(1, 60), (6, 60), (30, 60), (59, 60), (60, 60)])
     def test_output_band_matches_engine_on_matrix_units(self, n, m):
-        # the band map against the band of the engine's whole output (within 5.6e-17)
+        # the band map is the band of the engine's whole output bit for bit:
+        # both read the one factor f, d = f[w,a]² and u = f[w,a] f[w,a+1]
         units = matrix_units(n)
         ch = CloneChannel(n, m)
         engine = symspace._band(apply_cloner_dicke(ch, units))
         for got, want in zip(cloner._output_band(ch, symspace._band(units)), engine, strict=True):
-            assert got.shape == want.shape and np.max(np.abs(got - want)) <= 1e-16
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_band_maps_compose(self):
         # the paper's concatenation at channel level: N→M then M→L is N→L
@@ -612,19 +619,18 @@ class TestTransfer:
 
     def test_map_is_bit_equal_to_table_slices(self):
         # the map equals, bit for bit, the band map read off the whole table
-        # k[w, a, b] = (C(M-N,w) amp[w,a]) amp[w,b] (entry (a, b) goes to
-        # (a+w, b+w)) followed by the reduction's map, with per-row sums
+        # k[w, a, b] = f[w,a] f[w,b] (entry (a, b) goes to (a+w, b+w))
+        # followed by the reduction's map, with per-row sums
         cells = [(n, m) for m in range(1, 21) for n in range(1, m + 1)]
         for n, m in cells + [(4, 40), (6, 60), (30, 60), (59, 60), (60, 60)]:
-            left, amp = cloner._amplitudes(n, m)
-            k = left[:, :, None] * amp[:, None, :]
-            scale = (n + 1) / (m + 1)
+            f = cloner._amplitudes(n, m)
+            k = f[:, :, None] * f[:, None, :]
             d, u = np.zeros((n + 1, m + 1)), np.zeros((n, m))
             for w in range(m - n + 1):
                 for a in range(n + 1):
-                    d[a, a + w] = k[w, a, a] * scale
+                    d[a, a + w] = k[w, a, a]
                     if a < n:
-                        u[a, a + w] = k[w, a, a + 1] * scale
+                        u[a, a + w] = k[w, a, a + 1]
             red_diag, red_off = symspace._reduction(m)
             t_diag = np.sum(d[:, :, None] * red_diag, axis=1)
             t_off = np.sum(u[:, :, None] * red_off, axis=1)

@@ -72,6 +72,15 @@ class TestQuadrature:
         info = _polar_rule.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
+    def test_exact_estimation_builds_no_sphere_rule(self):
+        # quadrature_order is the sphere rule's size, counted off the polar rule
+        sphere_quadrature.cache_clear()
+        for m in range(1, LIMITS["dicke"][0] + 1):
+            cached = sphere_quadrature.cache_info().currsize
+            order = estimation_fidelity_exact(m, KET0).quadrature_order
+            assert sphere_quadrature.cache_info().currsize == cached
+            assert order == len(sphere_quadrature(m)[1])
+
     @pytest.mark.parametrize("m", [1, 7, 20])
     def test_node_powers_cached_bit_equal(self, m):
         states, _ = sphere_quadrature(m)

@@ -82,6 +82,17 @@ class TestDickeBasis:
         swapped = ((idx & 0b100) >> 1) | ((idx & 0b010) << 1) | (idx & 0b001)
         assert np.max(np.abs(v[swapped, :] - v)) < 1e-12
 
+    def test_rows_hold_the_support_pass_scale(self):
+        # V and the support check use one isometry: row i of V holds sqrt(1/C(n, k)),
+        # k = popcount i, bit for bit, the scale `_support_pass` projects with
+        for n in range(1, 13):
+            v = dicke_basis(n)
+            ones = np.array([bin(i).count("1") for i in range(2 ** n)])
+            scale = np.sqrt([1.0 / comb(n, k) for k in range(n + 1)])
+            assert np.count_nonzero(v) == 2 ** n
+            assert v[np.arange(2 ** n), ones].tobytes() == scale[ones].astype(complex).tobytes()
+            assert symspace._popcount_classes(n)[3].tobytes() == scale.tobytes()
+
     def test_range_check(self):
         with pytest.raises(ValueError):
             dicke_basis(0)
@@ -302,6 +313,19 @@ class TestDickeEmbedding:
     def test_embed_output_is_symmetric(self):
         rho = random_symmetric_density(3, rng_from_seed(3))
         assert is_symmetric_support(rho)
+
+    def test_embed_gathers_v_c_vdagger_without_v(self, monkeypatch):
+        # the class table gathered is V c V† bit for bit, and V is never built
+        rng = rng_from_seed(1300)
+        coords = [ginibre_coords(rng, n) for n in range(1, 11)]
+        want = [dicke_basis(n) @ c @ dicke_basis(n).conj().T for n, c in enumerate(coords, 1)]
+
+        def forbidden(n):
+            raise AssertionError("embed_dicke built V")
+
+        monkeypatch.setattr(symspace, "dicke_basis", forbidden)
+        for c, full in zip(coords, want):
+            assert np.array_equal(embed_dicke(c), full)
 
     def test_tensor_power_dicke_matches_full(self):
         psi = haar_random_pure(rng_from_seed(8))
