@@ -8,7 +8,6 @@ from .linalg import (
     partial_trace,
     pure_fidelity,
     rng_from_seed,
-    state_from_bloch,
     tensor_product,
 )
 from .symspace import (
@@ -28,7 +27,6 @@ from .cloner import (
     apply_cloner_dicke,
     certify_universality,
     measure_shrinking,
-    tensor_power_input,
 )
 from .estimator import (
     EstimationReport,
@@ -47,12 +45,12 @@ from .bounds import (
 
 __all__ = [
     "DegenerateInputError", "bloch_of", "haar_random_pure", "partial_trace",
-    "pure_fidelity", "rng_from_seed", "state_from_bloch", "tensor_product",
+    "pure_fidelity", "rng_from_seed", "tensor_product",
     "PseudoMixture", "dicke_basis", "embed_dicke", "is_symmetric_support",
     "project_dicke", "pseudo_mixture_decompose", "random_symmetric_density",
     "symmetrizer",
     "CloneChannel", "CloneReport", "apply_cloner", "apply_cloner_dicke",
-    "certify_universality", "measure_shrinking", "tensor_power_input",
+    "certify_universality", "measure_shrinking",
     "EstimationReport", "estimate_monte_carlo", "estimation_fidelity_exact",
     "measure_and_prepare_channel", "verify_statement_b",
     "check_identities", "eta_meas_opt", "eta_opt",

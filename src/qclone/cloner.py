@@ -165,17 +165,10 @@ def measure_shrinking(ch, rho_n):
 
     Requires a non-degenerate reduced input (Bloch length >= 1e-6) and
     asserts the output Bloch vector is parallel to the input one. This is
-    the certification core on one input.
+    `measure_inputs` on one input.
     """
-    eta, fid = measure_shrinking_dicke(ch, symmetric_coords(rho_n, ch.n_in))
+    _, (eta,), (fid,) = measure_inputs([(ch, symmetric_coords(rho_n, ch.n_in))])
     return CloneReport(ch.n_in, ch.m_out, float(eta), float(fid), 0.0)
-
-
-def measure_shrinking_dicke(ch, coords):
-    """Shrinking factor and direction-state fidelity of each input of the batch
-    `coords` (s, N+1, N+1), or of one input (N+1, N+1): product, then tail."""
-    band = _band(_channel_coords(ch, coords))
-    return _shrinking(_band_qubit(band, _reduction(ch.n_in)), _output_qubit(ch, band))
 
 
 def _output_qubit(ch, band):
@@ -281,8 +274,9 @@ def certify_cells(cells, n_samples):
 
 
 def measure_inputs(inputs):
-    """(q_in, etas, fids) of inputs (channel, coords (N+1)x(N+1)) of any sizes: each
-    input's reduced qubit, its output qubit through its own channel, one tail for all."""
+    """(q_in, etas, fids) of inputs (channel, coords (N+1)x(N+1) or a batch of them)
+    of any sizes: each input's reduced qubit, its output qubit through its own
+    channel, one tail for all."""
     bands = [(ch, _band(_channel_coords(ch, coords))) for ch, coords in inputs]
     q_in = np.array([_band_qubit(band, _reduction(ch.n_in)) for ch, band in bands])
     return (q_in, *_shrinking(q_in, np.array([_output_qubit(ch, band) for ch, band in bands])))
@@ -316,9 +310,3 @@ def measure_chains(chains):
     for (stage, idx), eta, _ in _shrinking_pieces(pieces):
         etas[stage, idx] = eta
     return list(zip(*etas.tolist()))
-
-
-def tensor_power_input(psi, n):
-    """|psi><psi|^⊗n as a full-space operator, built through Dicke coords."""
-    v = tensor_power_dicke(psi, n)
-    return embed_dicke(np.outer(v, v.conj()))

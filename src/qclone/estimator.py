@@ -23,11 +23,11 @@ estimate reads the drawn overlap u and azimuth phase and never forms the
 outcome states; `sample_candidates` forms them from the same draws, as the
 explicit outcome sampler and the tests' oracle. Both paths take the copy
 count M within `linalg.LIMITS["dicke"]`, the limit of the measure-and-prepare
-map that exact estimation reads; the Monte Carlo path draws shots within
-`LIMITS["shots"]`. It streams them in chunks of BLOCK_ENTRIES // 2
-shots from one generator into one set of work arrays and keeps running
-sums, so its memory does not grow with the shot count and the shot limit is
-a time limit (see the table).
+map that exact estimation reads; the Monte Carlo path draws at least 2 shots
+(one has no standard error) and at most `LIMITS["shots"]`. It streams them
+in chunks of BLOCK_ENTRIES // 2 shots from one generator into one set of
+work arrays and keeps running sums, so its memory does not grow with the
+shot count and the shot limit is a time limit (see the table).
 
 Estimating on M copies and preparing the candidate realizes cloning to
 arbitrarily many copies; its single-qubit output is exactly the
@@ -55,8 +55,7 @@ from .symspace import (BLOCK_ENTRIES, _band, _band_qubit, _dicke_coords, _frozen
 from .cloner import CloneChannel, _output_band
 
 _PHASE_STEPS = 256    # e^(2 pi i x) = _PHASES[j] e^(i theta), j = floor(256 x)
-_PHASES = np.exp(2j * np.pi * np.arange(_PHASE_STEPS) / _PHASE_STEPS)   # 4 KiB
-_PHASES.flags.writeable = False
+_PHASES = _frozen(np.exp(2j * np.pi * np.arange(_PHASE_STEPS) / _PHASE_STEPS))   # 4 KiB
 _COPIES = "m must be an integer in {lo}..{hi}, got {value}"   # the copy count M
 
 
@@ -110,7 +109,7 @@ def _polar_rule(m):
 
 @lru_cache(maxsize=None, typed=True)
 def sphere_quadrature(m):
-    """Nodes and weights exact for the degree arising at M = m copies.
+    """Read-only nodes and weights exact for the degree arising at M = m copies.
 
     Returns (states, weights): states[i] is a pure qubit state, weights sum
     to 1 and integrate any Bloch-sphere polynomial of the relevant degree
@@ -123,10 +122,7 @@ def sphere_quadrature(m):
     amp0 = np.broadcast_to(c[:, None], (len(c), n_azim))
     amp1 = s[:, None] * np.exp(1j * phis)[None, :]
     states = np.stack([amp0.ravel(), amp1.ravel()], axis=1)
-    weights = np.repeat(w / n_azim, n_azim)
-    states.flags.writeable = False
-    weights.flags.writeable = False
-    return states, weights
+    return _frozen(states), _frozen(np.repeat(w / n_azim, n_azim))
 
 
 @lru_cache(maxsize=None)
@@ -147,10 +143,7 @@ def _estimation_map(m):
 def quadrature_powers(m):
     """Read-only Dicke coefficients of |phi_i>^⊗m, one row per node phi_i
     of `sphere_quadrature(m)`."""
-    states, _ = sphere_quadrature(m)
-    vecs = tensor_power_dicke(states, m)
-    vecs.flags.writeable = False
-    return vecs
+    return _frozen(tensor_power_dicke(sphere_quadrature(m)[0], m))
 
 
 def povm_completeness_residual(m):
@@ -185,7 +178,7 @@ def _scratch(k):
     return np.empty((k, 2)), np.empty(k), np.empty(k, complex), np.empty(k, np.intp), np.empty(k)
 
 
-def _draw(m, k, rng, scratch=None):
+def _draw(m, k, rng, scratch):
     """k outcomes of the covariant measurement on M copies, as the overlap
     u = |<phi|psi>|^2 and the phase e^(i chi) of phi's psi_perp component.
 
@@ -195,9 +188,9 @@ def _draw(m, k, rng, scratch=None):
     exact draws. As x is a multiple of 2^-53, t = 256 x and j = floor(t) are
     exact, and e^(i chi) = _PHASES[j] e^(i theta), theta = 2 pi (t - j) / 256 <
     0.0245, by cosine and sine series to theta^6 (error below 4e-18). The draw
-    fills views of `scratch` (`_scratch` of k or more shots) or of its own.
+    fills views of `scratch`, a `_scratch` of k or more shots.
     """
-    x, u, phase, j, t = (a[:k] for a in scratch or _scratch(k))
+    x, u, phase, j, t = (a[:k] for a in scratch)
     rng.random(out=x)
     np.power(x[:, 0], 1 / (m + 1), out=u)
     th2, poly = phase.view(float)[:k], phase.view(float)[k:]   # free until the table lookup
@@ -238,7 +231,8 @@ def sample_candidates(m, psi, n_shots, rng):
 
 
 def estimate_monte_carlo(m, psi, n_shots, seed):
-    """Simulated measurement: n_shots outcome draws, empirical fidelity.
+    """Simulated measurement: n_shots (at least 2) outcome draws, empirical
+    fidelity and its standard error.
 
     Reads the drawn overlaps u of `_draw` and never forms the candidates phi.
     Shots are drawn in chunks of BLOCK_ENTRIES // 2 from one generator, which
@@ -249,7 +243,7 @@ def estimate_monte_carlo(m, psi, n_shots, seed):
     (psi, psi_perp) the mean of phi phi^† is [[F, W*/n], [W/n, 1-F]], with F
     the fidelity and W the sum of sqrt(u(1-u)) e^(i chi).
     """
-    m, n_shots = _integer_in(m, 1, "dicke", _COPIES), _integer_in(n_shots, 1, "shots")
+    m, n_shots = _integer_in(m, 1, "dicke", _COPIES), _integer_in(n_shots, 2, "shots")
     psi = _unit_qubit(psi)
     rng = rng_from_seed(seed)
     chunk = BLOCK_ENTRIES // 2
@@ -264,7 +258,7 @@ def estimate_monte_carlo(m, psi, n_shots, seed):
         sq = float(sq + np.sum(np.square(a, out=a)) + delta * delta * (start * k / total))
         np.multiply(u, np.subtract(1, u, out=a), out=a)
         w += complex(*(np.sqrt(a, out=a) @ phase.view(float).reshape(-1, 2)))   # a stays real
-    se = math.sqrt(sq / (n_shots - 1)) / math.sqrt(n_shots) if n_shots > 1 else 0.0
+    se = math.sqrt(sq / (n_shots - 1)) / math.sqrt(n_shots)
     basis = np.stack([psi, [-psi[1].conj(), psi[0].conj()]], axis=1)
     rho_bar = basis @ np.array([[fid, w.conjugate() / n_shots],
                                 [w / n_shots, 1 - fid]]) @ basis.conj().T
@@ -288,13 +282,13 @@ def measure_and_prepare_dicke(coords):
     return hermitize(_band_qubit(_band(coords), _estimation_map(m)))
 
 
-def verify_statement_b(m, l, psi=None):
+def verify_statement_b(m, l, psi):
     """Clone M→L, then measure-and-prepare on the L clones: the composed
-    fidelity <psi|rho_bar|psi> as a float, psi = |0> by default. Statement B
+    fidelity <psi|rho_bar|psi> as a float. Statement B
     says it equals (1 + eta_opt(M, L) eta_meas_opt(L)) / 2, which telescopes
     to fidelity_meas_opt(M) for every L within LIMITS["dicke"] (`qclone.bounds`)."""
     ch = CloneChannel(m, l)
-    psi = _unit_qubit([1, 0] if psi is None else psi)
+    psi = _unit_qubit(psi)
     out = _output_band(ch, _pure_band(tensor_power_dicke(psi, m)))
     return pure_fidelity(psi, hermitize(_band_qubit(out, _estimation_map(l))))
 

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra and single-qubit Bloch geometry.
+"""Dense complex linear algebra, single-qubit Bloch geometry and Haar draws.
 
 Conventions used throughout the package:
 
@@ -7,7 +7,12 @@ Conventions used throughout the package:
   b0 as its top bit;
 - density operators are plain complex numpy arrays of shape (2^n, 2^n);
 - randomness always flows through an explicit numpy Generator built from
-  a counter-based Philox stream (see rng_from_seed), never global state.
+  a counter-based Philox stream (see rng_from_seed), never global state;
+  one Haar draw, `haar_random_pure_batch`, serves every caller.
+
+The count check `_integer_in` and its table of limits (`LIMITS`) live here
+too. Helpers that only the tests read (Pauli matrices, states from Bloch
+vectors, a least eigenvalue) live in the tests' oracle, not in the package.
 """
 
 from __future__ import annotations
@@ -21,11 +26,6 @@ import numpy as np
 STRUCT_TOL = 1e-12
 PSD_TOL = 1e-10
 PHYS_TOL = 1e-9
-
-ID2 = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 class DegenerateInputError(ValueError):
@@ -139,11 +139,6 @@ def hermitize(rho):
     return (rho + adj) / 2
 
 
-def min_eigenvalue(rho):
-    rho = np.asarray(rho, dtype=complex)
-    return float(np.linalg.eigvalsh((rho + rho.conj().swapaxes(-1, -2)) / 2).min())
-
-
 def bloch_of(rho):
     """Bloch vector (Tr ρσx, Tr ρσy, Tr ρσz) of a single-qubit operator;
     shape (..., 2, 2) gives one vector per operator, shape (..., 3)."""
@@ -157,25 +152,15 @@ def bloch_of(rho):
     return comps.real
 
 
-def state_from_bloch(s):
-    """ρ = (1 + s·σ)/2 for |s| ≤ 1."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (3,):
-        raise ValueError("Bloch vector must have 3 components")
-    if np.linalg.norm(s) > 1 + STRUCT_TOL:
-        raise ValueError(f"Bloch vector length {np.linalg.norm(s)} exceeds 1")
-    return (ID2 + s[0] * PAULI_X + s[1] * PAULI_Y + s[2] * PAULI_Z) / 2
-
-
 def haar_random_pure(rng):
-    """Haar-uniform pure qubit state: two complex Gaussians, normalized."""
-    amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return amps / np.linalg.norm(amps)
+    """One Haar-uniform pure qubit state: the batch of one."""
+    return haar_random_pure_batch(rng, 1)[0]
 
 
 def haar_random_pure_batch(rng, count):
-    """count Haar-uniform pure states, shape (count, 2): the same draws as
-    count successive calls of haar_random_pure."""
+    """count Haar-uniform pure states, shape (count, 2): two complex Gaussians
+    each, normalized; row i is bit for bit the i-th of count calls of
+    haar_random_pure on the same generator."""
     count = _integer_in(count, 0, inf, "count must be an integer >= {lo}, got {value}")
     x = rng.standard_normal((count, 2, 2))
     amps = x[:, 0] + 1j * x[:, 1]

@@ -83,7 +83,10 @@ def _dicke_coords(coords, limit, batch=False):
 
 
 def project_dicke(op, n=None):
-    """V† op V: full-space operator to (n+1)-dim Dicke coordinates."""
+    """V† op V: full-space operator to (n+1)-dim Dicke coordinates, by two dense
+    products with the isometry. No production path calls it: it is the dense
+    oracle that the tests hold `_support_pass`'s class-sum coordinates against,
+    so it does not share their arithmetic."""
     op = np.asarray(op, dtype=complex)
     if n is None:
         n = n_qubits_of(op)
@@ -142,11 +145,11 @@ def _support_pass(rho):
     return float(resid), coords
 
 
-def is_symmetric_support(rho, tol=PSD_TOL):
+def is_symmetric_support(rho):
     """True iff rho lives entirely on the symmetric subspace:
-    max|rho - S rho S| < tol/2, which puts both max|rho - S rho| and
-    max|rho - rho S| below tol (see `_support_pass`)."""
-    return bool(_support_pass(rho)[0] < tol / 2)
+    max|rho - S rho S| < PSD_TOL/2, which puts both max|rho - S rho| and
+    max|rho - rho S| below PSD_TOL (see `_support_pass`)."""
+    return bool(_support_pass(rho)[0] < PSD_TOL / 2)
 
 
 def symmetric_coords(rho, n=None):

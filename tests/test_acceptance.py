@@ -22,7 +22,6 @@ from qclone.cloner import (
     apply_cloner,
     certify_universality,
     measure_shrinking,
-    tensor_power_input,
 )
 from qclone.estimator import (
     estimate_monte_carlo,
@@ -33,7 +32,6 @@ from qclone.estimator import (
 from qclone.linalg import (
     bloch_of,
     haar_random_pure,
-    min_eigenvalue,
     partial_trace,
     rng_from_seed,
 )
@@ -43,6 +41,8 @@ from qclone.symspace import (
     random_symmetric_density,
     symmetrizer,
 )
+
+from oracle import min_eigenvalue, tensor_power_input
 
 GRID = [(n, m) for n in range(1, 5) for m in range(n, 9)]
 

@@ -138,8 +138,10 @@ class TestCheckIdentities:
 
 class TestCrossCheck:
     def test_against_simulator(self):
-        from qclone.cloner import CloneChannel, measure_shrinking, tensor_power_input
+        from qclone.cloner import CloneChannel, measure_shrinking
         from qclone.linalg import haar_random_pure, rng_from_seed
+
+        from oracle import tensor_power_input
         psi = haar_random_pure(rng_from_seed(3))
         rep = measure_shrinking(CloneChannel(2, 5), tensor_power_input(psi, 2))
         assert abs(rep.eta_measured - float(Fraction(7, 10))) < 1e-9

@@ -10,9 +10,11 @@ import pytest
 
 from qclone import bounds, cli, cloner, estimator, linalg, symspace
 from qclone.cli import build_parser, main, run_concat
-from qclone.cloner import CloneChannel, apply_cloner, measure_shrinking_dicke, tensor_power_input
-from qclone.linalg import LIMITS, haar_random_pure, min_eigenvalue, partial_trace, rng_from_seed
+from qclone.cloner import CloneChannel, apply_cloner, measure_inputs
+from qclone.linalg import LIMITS, haar_random_pure, partial_trace, rng_from_seed
 from qclone.symspace import _band, _band_qubit, _reduction, _support_pass, tensor_power_dicke
+
+from oracle import min_eigenvalue, tensor_power_input
 
 
 def run_cli(capsys, *argv):
@@ -106,7 +108,7 @@ class TestConcatCommand:
 
 def single_input_etas(n, m, l, seed):
     """Stage-1, stage-2 and direct shrinking factors of one chain, one
-    single-input core call each, stage 2 on the stage-1 output band: the
+    single-input measurement each, stage 2 on the stage-1 output band: the
     reference for the batched runner."""
     v = tensor_power_dicke(haar_random_pure(rng_from_seed(seed)), n)
     coords = np.outer(v, v.conj())
@@ -114,8 +116,8 @@ def single_input_etas(n, m, l, seed):
     mid = cloner._output_band(first, _band(coords))
     second = cloner._shrinking(_band_qubit(mid, _reduction(m)),
                                cloner._output_qubit(CloneChannel(m, l), mid))
-    return (float(measure_shrinking_dicke(first, coords)[0]), float(second[0]),
-            float(measure_shrinking_dicke(CloneChannel(n, l), coords)[0]))
+    return (float(measure_inputs([(first, coords)])[1][0]), float(second[0]),
+            float(measure_inputs([(CloneChannel(n, l), coords)])[1][0]))
 
 
 class TestConcatBatch:
@@ -349,12 +351,13 @@ class TestSanityPositivity:
         assert positivity_row(cli._sanity_checks(2, 4, 1))["pass"] is verdict
 
     def test_verify_all_runs_no_dense_eigensolve(self, monkeypatch):
-        # verify-all stays in Dicke coordinates: no isometry, support pass,
-        # dense partial trace or dense eigensolve, under any name they are bound to
+        # verify-all stays in Dicke coordinates: no isometry, support pass or
+        # dense partial trace, under any name they are bound to (the dense
+        # eigensolve, `oracle.min_eigenvalue`, is not in the package)
         def forbidden(*args, **kwargs):
             raise AssertionError("verify-all left Dicke coordinates")
 
-        names = ("dicke_basis", "_support_pass", "partial_trace", "min_eigenvalue")
+        names = ("dicke_basis", "_support_pass", "partial_trace")
         for module in (cli, cloner, estimator, linalg, symspace):
             for name in names:
                 if hasattr(module, name):
@@ -502,23 +505,30 @@ def test_concat_checks_dicke_limit_before_drawing(monkeypatch, capsys, argv):
     assert calls == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["estimate", "--m", "2", "--shots", str(LIMITS["shots"][0] + 1)],
-    ["verify-all", "--samples", str(LIMITS["shots"][0] // 200 + 1)],
-])
+REFUSED_COUNTS = {   # argv -> the library's refusal of its count
+    ("estimate", "--m", "2", "--shots", str(LIMITS["shots"][0] + 1)):
+        "n_shots must be in 2..10000000, got 10000001",
+    ("verify-all", "--samples", str(LIMITS["shots"][0] // 200 + 1)):
+        "need at least 2 samples and at most 50000, got 50001: Monte Carlo cells draw 200 "
+        "shots per sample, at most 10000000",
+    ("estimate", "--m", "2", "--shots", "1"): "n_shots must be in 2..10000000, got 1",
+    ("clone", "--n", "1", "--m", "2", "--samples", "1"):
+        "need at least 2 samples and at most 1000000, got 1",
+}
+
+
+@pytest.mark.parametrize("argv", [list(argv) for argv in REFUSED_COUNTS])
 def test_shot_limit_refused_before_drawing(capsys, argv):
-    # refused before any shot is drawn or any cell runs: only parsing allocates
+    # refused by the library before any shot is drawn or any cell runs: only
+    # parsing allocates, and the one error line is the library's, with no usage
     tracemalloc.start()
     try:
-        try:
-            got = main(argv)
-        except SystemExit as exc:
-            got = exc.code
+        got = main(argv)   # argparse would raise SystemExit and print its usage
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert got == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", f"error: {REFUSED_COUNTS[tuple(argv)]}\n")
     assert peak < 1e6
 
 
@@ -527,7 +537,7 @@ def test_parser_reused_after_refusal(capsys):
     code, first, _ = run_cli(capsys, *argv)
     assert code == 0
     with pytest.raises(SystemExit) as exc:
-        main(["estimate", "--m", "3", "--shots", "1"])
+        main(["estimate", "--m", "3", "--shots", "one"])
     assert exc.value.code == 2
     assert run_cli(capsys, "bounds", "--n", "3", "--m", "2")[0] == 2
     assert build_parser() is build_parser()

@@ -17,20 +17,16 @@ from qclone.cloner import (
     certify_universality,
     measure_inputs,
     measure_shrinking,
-    measure_shrinking_dicke,
-    tensor_power_input,
 )
 from qclone.linalg import (
     LIMITS,
     DegenerateInputError,
     bloch_of,
     hermitize,
-    min_eigenvalue,
     partial_trace,
     pure_fidelity,
     rng_from_seed,
     haar_random_pure,
-    state_from_bloch,
 )
 from qclone.symspace import (
     dicke_basis,
@@ -41,6 +37,8 @@ from qclone.symspace import (
     symmetrizer,
     tensor_power_dicke,
 )
+
+from oracle import min_eigenvalue, state_from_bloch, tensor_power_input
 
 KET0 = np.array([1, 0], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
@@ -292,7 +290,7 @@ class TestDickePath:
         for bad in (nan, np.inf, complex(0, nan)):
             coords = np.eye(3, dtype=complex) / 3
             coords[0, 1] = bad
-            for call in (lambda c: measure_shrinking_dicke(CloneChannel(2, 4), c),
+            for call in (lambda c: measure_inputs([(CloneChannel(2, 4), c)]),
                          lambda c: apply_cloner_dicke(CloneChannel(2, 4), c)):
                 with pytest.raises(ValueError, match="must be finite"):
                     call(coords)
@@ -308,9 +306,9 @@ class TestDickePath:
 
     @pytest.mark.parametrize("call", [
         apply_cloner_dicke,
-        measure_shrinking_dicke,
+        lambda ch, coords: measure_inputs([(ch, coords)]),
         lambda ch, coords: measure_inputs([(CloneChannel(1, 3), np.eye(2) / 2), (ch, coords)]),
-    ], ids=["apply_cloner_dicke", "measure_shrinking_dicke", "measure_inputs"])
+    ], ids=["apply_cloner_dicke", "measure_inputs-one", "measure_inputs"])
     def test_coordinates_must_match_the_channel(self, call):
         # every channel entry names n_in, for one input and for a batch
         for coords in (np.eye(4) / 4, np.eye(2) / 2, np.broadcast_to(np.eye(4) / 4, (2, 4, 4))):
@@ -387,11 +385,11 @@ class TestMeasureShrinking:
         good = symmetric_coords(tensor_power_input(PLUS, 2))
         mixed = np.eye(3, dtype=complex) / 3
         with pytest.raises(DegenerateInputError):
-            measure_shrinking_dicke(ch, np.stack([good, mixed, good]))
+            measure_inputs([(ch, np.stack([good, mixed, good]))])
         skew = good.copy()
         skew[1, 1] += 1e-6j
         with pytest.raises(ValueError):
-            measure_shrinking_dicke(ch, np.stack([good, good, skew]))
+            measure_inputs([(ch, np.stack([good, good, skew]))])
 
     def test_trace_guard(self, monkeypatch):
         # the channel factor off by 1e-6 at M = 16 moves the diagonal
@@ -405,14 +403,14 @@ class TestMeasureShrinking:
 
         ch = CloneChannel(2, 16)
         coords = symmetric_coords(tensor_power_input(PLUS, 2))
-        measure_shrinking_dicke(ch, np.stack([coords, coords]))
+        measure_inputs([(ch, np.stack([coords, coords]))])
         # the cached transfer map is formed from the channel factor: drop it on
         # both sides so the perturbed (2, 16) map neither is missed nor outlives the test
         _transfer.cache_clear()
         monkeypatch.setattr(cloner, "_amplitudes", perturbed)
         try:
             with pytest.raises(RuntimeError, match="trace"):
-                measure_shrinking_dicke(ch, np.stack([coords, coords]))
+                measure_inputs([(ch, np.stack([coords, coords]))])
         finally:
             _transfer.cache_clear()
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qclone.bounds import eta_meas_opt, eta_opt, fidelity_meas_opt
-from qclone.cloner import CloneChannel, apply_cloner, tensor_power_input
+from qclone.cloner import CloneChannel, apply_cloner
 from qclone.estimator import (
     _draw,
     _estimation_map,
@@ -25,6 +25,8 @@ from qclone.estimator import (
 from qclone.linalg import (LIMITS, bloch_of, haar_random_pure, hermitize, partial_trace,
                            pure_fidelity, rng_from_seed)
 from qclone.symspace import BLOCK_ENTRIES, random_symmetric_density, symmetrizer, tensor_power_dicke
+
+from oracle import tensor_power_input
 
 KET0 = np.array([1, 0], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
@@ -310,14 +312,14 @@ class TestPhaseKernel:
         table = np.arange(256) / 256
         edges = np.concatenate([table, table + tiny, table[1:] - tiny, [0.0, 1 - tiny]])
         x = np.concatenate([rng_from_seed(90).random(10 ** 6), edges])
-        _, phase = _draw(5, len(x), self.Fixed(np.stack([x, x], axis=1)))
+        _, phase = _draw(5, len(x), self.Fixed(np.stack([x, x], axis=1)), _scratch(len(x)))
         assert np.max(np.abs(phase - np.exp(2j * np.pi * x))) <= 2e-15
         assert np.max(np.abs(np.abs(phase) - 1)) <= 1e-15
 
     @pytest.mark.parametrize("m", [1, 2, 7, 20])
     def test_overlap_is_the_raw_power(self, m):
         x = rng_from_seed(91 + m).random((CHUNK + 7, 2))
-        u, _ = _draw(m, CHUNK + 7, rng_from_seed(91 + m))
+        u, _ = _draw(m, CHUNK + 7, rng_from_seed(91 + m), _scratch(CHUNK + 7))
         assert np.array_equal(u, x[:, 0] ** (1 / (m + 1)))
 
     def test_scratch_draw_allocates_nothing(self):
@@ -332,8 +334,8 @@ class TestPhaseKernel:
             tracemalloc.stop()
         assert peak < 4096
         fresh = rng_from_seed(92)
-        _draw(3, CHUNK - 9, fresh)
-        u2, phase2 = _draw(3, CHUNK - 9, fresh)
+        _draw(3, CHUNK - 9, fresh, _scratch(CHUNK - 9))
+        u2, phase2 = _draw(3, CHUNK - 9, fresh, _scratch(CHUNK - 9))
         assert u.tobytes() == u2.tobytes() and phase.tobytes() == phase2.tobytes()
 
 
@@ -343,7 +345,7 @@ class TestStream:
 
     @staticmethod
     def oracle(m, psi, n_shots, seed):
-        u, phase = _draw(m, n_shots, rng_from_seed(seed))
+        u, phase = _draw(m, n_shots, rng_from_seed(seed), _scratch(n_shots))
         fid, w = u.mean(), complex(*(np.sqrt(u * (1 - u)) @ phase.view(float).reshape(-1, 2)))
         basis = np.stack([psi, [-psi[1].conj(), psi[0].conj()]], axis=1)
         rho_bar = basis @ np.array([[fid, w.conjugate() / n_shots],
@@ -394,7 +396,7 @@ class TestStream:
     def test_candidates_match_one_draw(self, n):
         # chunk by chunk, the candidates of one `_draw` call over all shots
         psi = haar_random_pure(rng_from_seed(79))
-        u, phase = _draw(6, n, rng_from_seed(80))
+        u, phase = _draw(6, n, rng_from_seed(80), _scratch(n))
         perp = np.array([-psi[1].conj(), psi[0].conj()])
         whole = np.sqrt(u)[:, None] * psi + (np.sqrt(1 - u) * phase)[:, None] * perp
         assert np.array_equal(sample_candidates(6, psi, n, rng_from_seed(80)), whole)
@@ -528,13 +530,13 @@ def composition_opt(m, l):
 
 class TestStatementB:
     def test_m1_l2(self):
-        composed = verify_statement_b(1, 2)
+        composed = verify_statement_b(1, 2, KET0)
         assert type(composed) is float
         assert abs(composed - float(composition_opt(1, 2))) < 1e-8
         assert composition_opt(1, 2) == fidelity_meas_opt(1) == Fraction(2, 3)
 
     def test_identity_first_stage(self):
-        composed = verify_statement_b(2, 2)
+        composed = verify_statement_b(2, 2, KET0)
         assert abs(composed - float(fidelity_meas_opt(2))) < 1e-8
 
     @pytest.mark.parametrize("l", [2, 4, 6, 8, 11, 30, 60])
@@ -544,9 +546,9 @@ class TestStatementB:
 
     def test_bounds(self):
         with pytest.raises(ValueError):
-            verify_statement_b(3, 2)
+            verify_statement_b(3, 2, KET0)
         with pytest.raises(ValueError):
-            verify_statement_b(1, 61)
+            verify_statement_b(1, 61, KET0)
 
     def test_sixty_to_sixty(self):
         composed = verify_statement_b(60, 60, haar_random_pure(rng_from_seed(60)))

@@ -76,7 +76,7 @@ COUNT_ENTRIES = {
         lambda k: estimator.sample_candidates(2, KET0, k, rng_from_seed(6)),
         limit("shots"), False),
     "estimator.verify_statement_b": (
-        lambda k: estimator.verify_statement_b(1, k), limit("dicke"), True),
+        lambda k: estimator.verify_statement_b(1, k, KET0), limit("dicke"), True),
     "bounds.eta_opt n": (lambda k: bounds.eta_opt(k, 10 ** 6), None, True),
     "bounds.eta_opt m": (lambda k: bounds.eta_opt(1, k), None, True),
     "bounds.fidelity_opt n": (lambda k: bounds.fidelity_opt(k, 10 ** 6), None, True),
@@ -200,8 +200,8 @@ def test_partial_trace_refuses_fractional_qubit():
     (["estimate", "--m", str(limit("dicke") + 1)], "m must be an integer in 1..60, got 61"),
     (["clone", "--n", "1", "--m", str(limit("dicke") + 1)], "dicke path limited to m_out <= 60"),
     (["verify-all", "--samples", str(limit("shots") // 200 + 1)],
-     "samples must be at most 50000: Monte Carlo cells draw 200 shots per sample, "
-     "at most 10000000"),
+     "need at least 2 samples and at most 50000, got 50001: Monte Carlo cells draw 200 "
+     "shots per sample, at most 10000000"),
     (["clone", "--n", "1", "--m", "2", "--samples", str(limit("samples") + 1)],
      "need at least 2 samples and at most 1000000, got 1000001"),
 ])
